@@ -9,7 +9,8 @@
 //! goldens, [`Json::render_compact`] emits a single line for the `hsmd`
 //! line-delimited socket protocol. [`Json::parse`] reads either form back
 //! (the [`protocol`](crate::protocol) request/response codecs and tests
-//! round-trip through it).
+//! round-trip through it), and every wire decoder reads the parsed
+//! object's fields through the crate's typed `Fields` readers.
 
 use std::fmt::Write as _;
 
@@ -36,6 +37,17 @@ impl Json {
     /// Builds an object from `(key, value)` pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Builds an object from `(key, value)` pairs, leaving out the keys
+    /// whose value is `None` (a wire type's absent optional fields).
+    pub(crate) fn obj_some(pairs: Vec<(&str, Option<Json>)>) -> Json {
+        Json::Obj(
+            pairs
+                .into_iter()
+                .filter_map(|(k, v)| Some((k.to_string(), v?)))
+                .collect(),
+        )
     }
 
     /// Builds a string value.
@@ -94,7 +106,7 @@ impl Json {
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -102,7 +114,7 @@ impl Json {
     /// Renders on a single line with no whitespace — one protocol frame.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None);
         out
     }
 
@@ -114,6 +126,7 @@ impl Json {
     /// Returns a [`JsonError`] describing the first offending byte offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -126,7 +139,9 @@ impl Json {
         Ok(value)
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Writes the value pretty-printed at depth `indent`, or compact when
+    /// `indent` is `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -139,98 +154,62 @@ impl Json {
                 let _ = write!(out, "{v}");
             }
             Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                // Arrays of scalars render inline; nested structures
-                // get one element per line.
-                let scalar = items
-                    .iter()
-                    .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)));
-                if scalar {
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        item.write(out, indent);
-                    }
-                    out.push(']');
-                } else {
-                    out.push_str("[\n");
-                    for (i, item) in items.iter().enumerate() {
-                        pad(out, indent + 1);
-                        item.write(out, indent + 1);
-                        if i + 1 < items.len() {
-                            out.push(',');
-                        }
-                        out.push('\n');
-                    }
-                    pad(out, indent);
-                    out.push(']');
-                }
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    pad(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < pairs.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push('}');
-            }
-        }
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
+            // Pretty arrays of scalars render inline; nested structures
+            // get one element per line.
+            Json::Arr(items)
+                if indent.is_none()
+                    || items
+                        .iter()
+                        .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_))) =>
+            {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(if indent.is_some() { ", " } else { "," });
                     }
-                    item.write_compact(out);
+                    item.write(out, indent);
                 }
                 out.push(']');
             }
+            Json::Arr(items) => write_block(out, indent, "[]", items.iter().map(|v| (None, v))),
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
+                write_block(out, indent, "{}", pairs.iter().map(|(k, v)| (Some(k), v)));
             }
         }
     }
+}
+
+/// Writes an object, or a pretty array of nested values, one entry per
+/// line when pretty-printing. `brackets` is the open/close pair.
+fn write_block<'j>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: &str,
+    entries: impl ExactSizeIterator<Item = (Option<&'j String>, &'j Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    out.push_str(open);
+    let inner = indent.map(|d| d + 1);
+    let empty = entries.len() == 0;
+    for (i, (key, value)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(d) = inner {
+            out.push('\n');
+            pad(out, d);
+        }
+        if let Some(key) = key {
+            write_escaped(out, key);
+            out.push_str(if inner.is_some() { ": " } else { ":" });
+        }
+        value.write(out, inner);
+    }
+    if let (Some(d), false) = (indent, empty) {
+        out.push('\n');
+        pad(out, d);
+    }
+    out.push_str(close);
 }
 
 /// A JSON parse failure, with the byte offset of the offending input.
@@ -250,7 +229,128 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A missing or mistyped object field, as reported by [`Fields`]: the
+/// message names the key and the object it was read from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FieldError {
+    /// What was wrong.
+    pub(crate) message: String,
+}
+
+/// Typed field readers over one JSON object — the decoding step every
+/// wire type shares. Each reader looks its key up and checks the value's
+/// type, and every failure is a [`FieldError`] naming the key and the
+/// object (`what`, e.g. `"row"`). The `opt_*` readers return `None` for
+/// a missing key but still reject a present key of the wrong type. A
+/// document that is not an object has no keys.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fields<'a> {
+    doc: &'a Json,
+    what: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `doc` as the object `what`.
+    pub(crate) fn new(doc: &'a Json, what: &'a str) -> Self {
+        Fields { doc, what }
+    }
+
+    fn opt<T>(
+        &self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, FieldError> {
+        match self.doc.get(key) {
+            None => Ok(None),
+            Some(value) => read(value).map(Some).ok_or_else(|| FieldError {
+                message: format!("{} `{key}` must be {expected}", self.what),
+            }),
+        }
+    }
+
+    /// Turns an `opt_*` reader's `None` into a missing-`key` error.
+    pub(crate) fn required<T>(&self, key: &str, value: Option<T>) -> Result<T, FieldError> {
+        value.ok_or_else(|| FieldError {
+            message: format!("{} missing `{key}`", self.what),
+        })
+    }
+
+    /// An optional string.
+    pub(crate) fn opt_str(&self, key: &str) -> Result<Option<String>, FieldError> {
+        self.opt(key, "a string", |v| v.as_str().map(str::to_string))
+    }
+
+    /// A required string.
+    pub(crate) fn str(&self, key: &str) -> Result<String, FieldError> {
+        self.required(key, self.opt_str(key)?)
+    }
+
+    /// An optional non-negative integer.
+    pub(crate) fn opt_u64(&self, key: &str) -> Result<Option<u64>, FieldError> {
+        self.opt(key, "a non-negative integer", Json::as_u64)
+    }
+
+    /// A required non-negative integer.
+    pub(crate) fn u64(&self, key: &str) -> Result<u64, FieldError> {
+        self.required(key, self.opt_u64(key)?)
+    }
+
+    /// A required positive integer (core counts).
+    pub(crate) fn positive(&self, key: &str) -> Result<usize, FieldError> {
+        let read = |v: &Json| v.as_u64().filter(|&n| n > 0).map(|n| n as usize);
+        self.required(key, self.opt(key, "a positive integer", read)?)
+    }
+
+    /// An optional signed integer.
+    pub(crate) fn opt_i64(&self, key: &str) -> Result<Option<i64>, FieldError> {
+        self.opt(key, "an integer", Json::as_i64)
+    }
+
+    /// An optional boolean.
+    pub(crate) fn opt_bool(&self, key: &str) -> Result<Option<bool>, FieldError> {
+        self.opt(key, "a boolean", |v| match v {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// An optional array.
+    pub(crate) fn opt_arr(&self, key: &str) -> Result<Option<&'a [Json]>, FieldError> {
+        self.opt(key, "an array", Json::as_arr)
+    }
+
+    /// An optional nested object (handed on to that type's decoder).
+    pub(crate) fn opt_obj(&self, key: &str) -> Result<Option<&'a Json>, FieldError> {
+        self.opt(key, "an object", |v| matches!(v, Json::Obj(_)).then_some(v))
+    }
+
+    /// A required nested object (handed on to that type's decoder).
+    pub(crate) fn obj(&self, key: &str) -> Result<&'a Json, FieldError> {
+        self.required(key, self.opt_obj(key)?)
+    }
+
+    /// An optional label, decoded by `parse` (a `label → value` lookup
+    /// such as `OptLevel::parse`); an unknown label is an error naming
+    /// `kind`.
+    pub(crate) fn opt_label<T>(
+        &self,
+        key: &str,
+        kind: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, FieldError> {
+        self.opt(key, "a string", Json::as_str)?
+            .map(|label| {
+                parse(label).ok_or_else(|| FieldError {
+                    message: format!("unknown {kind} `{label}`"),
+                })
+            })
+            .transpose()
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -395,11 +495,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // char boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string"))?;
+                    // Consume one UTF-8 scalar straight from the input
+                    // text (`pos` is always on a char boundary here).
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next());
+                    let c = c.ok_or_else(|| self.err("invalid utf-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

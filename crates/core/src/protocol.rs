@@ -13,13 +13,11 @@
 //! so the protocol needs no external dependency and both directions are
 //! parsed by the same code the manifests are written with.
 
-use crate::experiment::Mode;
-use crate::json::{Json, JsonError};
+use crate::json::{FieldError, Fields, Json, JsonError};
 use crate::scenario::Scenario;
-use crate::spec::SweepSpec;
+use crate::spec::{SpecError, SweepSpec};
 use crate::store::fnv1a_bytes;
 use crate::sweep::{Prediction, SweepOutcome};
-use crate::{ExecModel, OptLevel};
 use hsm_exec::RunResult;
 use std::fmt;
 
@@ -48,6 +46,18 @@ impl std::error::Error for ProtocolError {}
 
 impl From<JsonError> for ProtocolError {
     fn from(e: JsonError) -> Self {
+        ProtocolError::new(e.to_string())
+    }
+}
+
+impl From<FieldError> for ProtocolError {
+    fn from(e: FieldError) -> Self {
+        ProtocolError { message: e.message }
+    }
+}
+
+impl From<SpecError> for ProtocolError {
+    fn from(e: SpecError) -> Self {
         ProtocolError::new(e.to_string())
     }
 }
@@ -205,41 +215,26 @@ impl SweepRow {
 
     /// The row as a JSON object.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("task", Json::Str(self.task.clone())),
-            ("cores", Json::UInt(self.cores)),
-            ("exec_model", Json::Str(self.exec_model.clone())),
-            ("opt_level", Json::Str(self.opt_level.clone())),
-        ];
-        if let Some(v) = self.exit_code {
-            pairs.push(("exit_code", Json::Int(v)));
-        }
-        if let Some(v) = self.timed_cycles {
-            pairs.push(("timed_cycles", Json::UInt(v)));
-        }
-        if let Some(v) = self.total_cycles {
-            pairs.push(("total_cycles", Json::UInt(v)));
-        }
-        if let Some(v) = self.instructions {
-            pairs.push(("instructions", Json::UInt(v)));
-        }
-        if let Some(v) = self.output_fnv {
-            pairs.push(("output_fnv", Json::UInt(v)));
-        }
-        if let Some(e) = &self.error {
-            pairs.push(("error", Json::Str(e.clone())));
-        }
-        if let Some(p) = &self.predicted {
-            pairs.push((
-                "predicted",
-                Json::obj(vec![
-                    ("predicted_cycles", Json::UInt(p.predicted_cycles)),
-                    ("seed_cores", Json::UInt(p.seed_cores as u64)),
-                ]),
-            ));
-        }
-        Json::obj(pairs)
+        let predicted = self.predicted.map(|p| {
+            Json::obj(vec![
+                ("predicted_cycles", Json::UInt(p.predicted_cycles)),
+                ("seed_cores", Json::UInt(p.seed_cores as u64)),
+            ])
+        });
+        Json::obj_some(vec![
+            ("name", Some(Json::str(&self.name))),
+            ("task", Some(Json::str(&self.task))),
+            ("cores", Some(Json::UInt(self.cores))),
+            ("exec_model", Some(Json::str(&self.exec_model))),
+            ("opt_level", Some(Json::str(&self.opt_level))),
+            ("exit_code", self.exit_code.map(Json::Int)),
+            ("timed_cycles", self.timed_cycles.map(Json::UInt)),
+            ("total_cycles", self.total_cycles.map(Json::UInt)),
+            ("instructions", self.instructions.map(Json::UInt)),
+            ("output_fnv", self.output_fnv.map(Json::UInt)),
+            ("error", self.error.as_deref().map(Json::str)),
+            ("predicted", predicted),
+        ])
     }
 
     /// Parses a row object.
@@ -248,47 +243,30 @@ impl SweepRow {
     ///
     /// Rejects objects missing the required identity fields.
     pub fn from_json(doc: &Json) -> Result<Self, ProtocolError> {
-        let field_str = |key: &str| match doc.get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            _ => Err(ProtocolError::new(format!("row missing `{key}`"))),
+        let f = Fields::new(doc, "row");
+        let predicted = match f.opt_obj("predicted")? {
+            Some(doc) => {
+                let p = Fields::new(doc, "`predicted`");
+                Some(Prediction {
+                    predicted_cycles: p.u64("predicted_cycles")?,
+                    seed_cores: p.u64("seed_cores")? as usize,
+                })
+            }
+            None => None,
         };
         Ok(SweepRow {
-            name: field_str("name")?,
-            task: field_str("task")?,
-            cores: doc
-                .get("cores")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtocolError::new("row missing `cores`"))?,
-            exec_model: field_str("exec_model")?,
-            opt_level: field_str("opt_level")?,
-            exit_code: doc.get("exit_code").and_then(Json::as_i64),
-            timed_cycles: doc.get("timed_cycles").and_then(Json::as_u64),
-            total_cycles: doc.get("total_cycles").and_then(Json::as_u64),
-            instructions: doc.get("instructions").and_then(Json::as_u64),
-            output_fnv: doc.get("output_fnv").and_then(Json::as_u64),
-            error: match doc.get("error") {
-                Some(Json::Str(s)) => Some(s.clone()),
-                _ => None,
-            },
-            predicted: match doc.get("predicted") {
-                Some(obj) => {
-                    let predicted_cycles = obj
-                        .get("predicted_cycles")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| {
-                            ProtocolError::new("`predicted` missing `predicted_cycles`")
-                        })?;
-                    let seed_cores = obj
-                        .get("seed_cores")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtocolError::new("`predicted` missing `seed_cores`"))?;
-                    Some(Prediction {
-                        predicted_cycles,
-                        seed_cores: seed_cores as usize,
-                    })
-                }
-                None => None,
-            },
+            name: f.str("name")?,
+            task: f.str("task")?,
+            cores: f.u64("cores")?,
+            exec_model: f.str("exec_model")?,
+            opt_level: f.str("opt_level")?,
+            exit_code: f.opt_i64("exit_code")?,
+            timed_cycles: f.opt_u64("timed_cycles")?,
+            total_cycles: f.opt_u64("total_cycles")?,
+            instructions: f.opt_u64("instructions")?,
+            output_fnv: f.opt_u64("output_fnv")?,
+            error: f.opt_str("error")?,
+            predicted,
         })
     }
 }
@@ -352,42 +330,34 @@ pub fn encode_job(job: &Job) -> String {
         pairs.push(("timeout_ms", Json::UInt(t)));
     }
     pairs.push(("op", Json::str(job.request.op())));
+    let mut program = |name: &str, source: &str, cores: usize| {
+        pairs.push(("name", Json::str(name)));
+        pairs.push(("source", Json::str(source)));
+        pairs.push(("cores", Json::UInt(cores as u64)));
+    };
     match &job.request {
         JobRequest::Ping | JobRequest::Shutdown => {}
         JobRequest::Translate {
             name,
             source,
             cores,
-        } => {
-            pairs.push(("name", Json::Str(name.clone())));
-            pairs.push(("source", Json::Str(source.clone())));
-            pairs.push(("cores", Json::UInt(*cores as u64)));
-        }
+        } => program(name, source, *cores),
         JobRequest::Simulate {
             name,
             source,
             cores,
             scenario,
-        } => {
-            pairs.push(("name", Json::Str(name.clone())));
-            pairs.push(("source", Json::Str(source.clone())));
-            pairs.push(("cores", Json::UInt(*cores as u64)));
-            pairs.push(("scenario", scenario.to_json()));
         }
-        JobRequest::Sweep { spec } => {
-            pairs.push(("spec", spec.to_json()));
-        }
-        JobRequest::Profile {
+        | JobRequest::Profile {
             name,
             source,
             cores,
             scenario,
         } => {
-            pairs.push(("name", Json::Str(name.clone())));
-            pairs.push(("source", Json::Str(source.clone())));
-            pairs.push(("cores", Json::UInt(*cores as u64)));
+            program(name, source, *cores);
             pairs.push(("scenario", scenario.to_json()));
         }
+        JobRequest::Sweep { spec } => pairs.push(("spec", spec.to_json())),
     }
     Json::obj(pairs).render_compact()
 }
@@ -399,94 +369,38 @@ pub fn encode_job(job: &Job) -> String {
 /// Rejects malformed JSON, unknown ops and missing fields.
 pub fn parse_job(line: &str) -> Result<Job, ProtocolError> {
     let doc = Json::parse(line)?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtocolError::new("job missing `id`"))?;
-    let timeout_ms = doc.get("timeout_ms").and_then(Json::as_u64);
-    let op = match doc.get("op") {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => return Err(ProtocolError::new("job missing `op`")),
-    };
-    let field_str = |key: &str| match doc.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(ProtocolError::new(format!("`{op}` job missing `{key}`"))),
-    };
-    let field_cores = || {
-        doc.get("cores")
-            .and_then(Json::as_u64)
-            .filter(|&n| n > 0)
-            .map(|n| n as usize)
-            .ok_or_else(|| ProtocolError::new(format!("`{op}` job needs a positive `cores`")))
-    };
-    let request = match op {
+    let f = Fields::new(&doc, "job");
+    let id = f.u64("id")?;
+    let timeout_ms = f.opt_u64("timeout_ms")?;
+    let op = f.str("op")?;
+    let what = format!("`{op}` job");
+    let f = Fields::new(&doc, &what);
+    let request = match op.as_str() {
         "ping" => JobRequest::Ping,
         "shutdown" => JobRequest::Shutdown,
         "translate" => JobRequest::Translate {
-            name: field_str("name")?,
-            source: field_str("source")?,
-            cores: field_cores()?,
+            name: f.str("name")?,
+            source: f.str("source")?,
+            cores: f.positive("cores")?,
         },
-        "simulate" => {
-            let scenario = match doc.get("scenario") {
-                Some(nested) => {
-                    Scenario::from_json(nested).map_err(|e| ProtocolError::new(e.to_string()))?
-                }
-                // Legacy flat form: a required `mode` label plus optional
-                // `exec_model`/`opt_level` sibling fields.
-                None => {
-                    let mode_label = field_str("mode")?;
-                    let mode = Mode::parse(&mode_label).ok_or_else(|| {
-                        ProtocolError::new(format!("unknown mode `{mode_label}`"))
-                    })?;
-                    let exec_model = match doc.get("exec_model") {
-                        None => ExecModel::Coherent,
-                        Some(Json::Str(s)) => ExecModel::parse(s).ok_or_else(|| {
-                            ProtocolError::new(format!("unknown exec model `{s}`"))
-                        })?,
-                        Some(_) => return Err(ProtocolError::new("`exec_model` must be a string")),
-                    };
-                    let opt_level = match doc.get("opt_level") {
-                        None => OptLevel::O0,
-                        Some(Json::Str(s)) => OptLevel::parse(s).ok_or_else(|| {
-                            ProtocolError::new(format!("unknown opt level `{s}`"))
-                        })?,
-                        Some(_) => return Err(ProtocolError::new("`opt_level` must be a string")),
-                    };
-                    Scenario::new(mode)
-                        .exec_model(exec_model)
-                        .opt_level(opt_level)
-                }
-            };
-            JobRequest::Simulate {
-                name: field_str("name")?,
-                source: field_str("source")?,
-                cores: field_cores()?,
-                scenario,
-            }
-        }
-        "sweep" => {
-            let spec = doc
-                .get("spec")
-                .ok_or_else(|| ProtocolError::new("`sweep` job missing `spec`"))?;
-            JobRequest::Sweep {
-                spec: SweepSpec::from_json(spec).map_err(|e| ProtocolError::new(e.to_string()))?,
-            }
-        }
-        "profile" => {
-            let scenario = match doc.get("scenario") {
-                Some(nested) => {
-                    Scenario::from_json(nested).map_err(|e| ProtocolError::new(e.to_string()))?
-                }
+        "simulate" => JobRequest::Simulate {
+            name: f.str("name")?,
+            source: f.str("source")?,
+            cores: f.positive("cores")?,
+            scenario: Scenario::from_json(f.obj("scenario")?)?,
+        },
+        "sweep" => JobRequest::Sweep {
+            spec: SweepSpec::from_json(f.obj("spec")?)?,
+        },
+        "profile" => JobRequest::Profile {
+            name: f.str("name")?,
+            source: f.str("source")?,
+            cores: f.positive("cores")?,
+            scenario: match f.opt_obj("scenario")? {
+                Some(doc) => Scenario::from_json(doc)?,
                 None => Scenario::default(),
-            };
-            JobRequest::Profile {
-                name: field_str("name")?,
-                source: field_str("source")?,
-                cores: field_cores()?,
-                scenario,
-            }
-        }
+            },
+        },
         other => return Err(ProtocolError::new(format!("unknown op `{other}`"))),
     };
     Ok(Job {
@@ -524,45 +438,28 @@ pub fn encode_response(id: u64, response: &JobResponse) -> String {
 /// Rejects malformed JSON, unknown kinds and missing fields.
 pub fn parse_response(line: &str) -> Result<(u64, JobResponse), ProtocolError> {
     let doc = Json::parse(line)?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtocolError::new("response missing `id`"))?;
-    let kind = match doc.get("kind") {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => return Err(ProtocolError::new("response missing `kind`")),
-    };
-    let field_str = |key: &str| match doc.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(ProtocolError::new(format!(
-            "`{kind}` response missing `{key}`"
-        ))),
-    };
-    let response = match kind {
+    let f = Fields::new(&doc, "response");
+    let id = f.u64("id")?;
+    let kind = f.str("kind")?;
+    let what = format!("`{kind}` response");
+    let f = Fields::new(&doc, &what);
+    let response = match kind.as_str() {
         "pong" => JobResponse::Pong,
         "shutting_down" => JobResponse::ShuttingDown,
         "translated" => JobResponse::Translated {
-            name: field_str("name")?,
-            source: field_str("source")?,
+            name: f.str("name")?,
+            source: f.str("source")?,
         },
-        "row" => {
-            let row = doc
-                .get("row")
-                .ok_or_else(|| ProtocolError::new("`row` response missing `row`"))?;
-            JobResponse::Row(SweepRow::from_json(row)?)
-        }
+        "row" => JobResponse::Row(SweepRow::from_json(f.obj("row")?)?),
         "sweep_done" => JobResponse::SweepDone {
-            rows: doc
-                .get("rows")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtocolError::new("`sweep_done` response missing `rows`"))?,
+            rows: f.u64("rows")?,
         },
         "profile" => JobResponse::Profile {
-            name: field_str("name")?,
-            profile: field_str("profile")?,
+            name: f.str("name")?,
+            profile: f.str("profile")?,
         },
         "error" => JobResponse::Error {
-            message: field_str("message")?,
+            message: f.str("message")?,
         },
         other => return Err(ProtocolError::new(format!("unknown kind `{other}`"))),
     };
@@ -573,10 +470,11 @@ pub fn parse_response(line: &str) -> Result<(u64, JobResponse), ProtocolError> {
 mod tests {
     use super::*;
     use crate::spec::SpecProgram;
+    use crate::{ExecModel, Mode, OptLevel};
 
-    #[test]
-    fn jobs_round_trip_through_the_wire_form() {
-        let jobs = vec![
+    /// One job per [`JobRequest`] variant.
+    fn sample_jobs() -> Vec<Job> {
+        vec![
             Job {
                 id: 1,
                 timeout_ms: None,
@@ -596,8 +494,14 @@ mod tests {
                 timeout_ms: Some(60_000),
                 request: JobRequest::Sweep {
                     spec: SweepSpec {
-                        programs: vec![SpecProgram::corpus("example_4_1", 3)],
-                        ..SweepSpec::default()
+                        programs: vec![
+                            SpecProgram::corpus("example_4_1", 3),
+                            SpecProgram::inline("ret", 2, "int main() { return \"\\n\"[0]; }"),
+                        ],
+                        scenarios: vec![Scenario::new(Mode::TaskDataflow).opt_level(OptLevel::O2)],
+                        workers: 2,
+                        cache_dir: Some("/tmp/store".to_string()),
+                        predict_first: true,
                     },
                 },
             },
@@ -637,8 +541,12 @@ mod tests {
                 timeout_ms: None,
                 request: JobRequest::Shutdown,
             },
-        ];
-        for job in jobs {
+        ]
+    }
+
+    #[test]
+    fn jobs_round_trip_through_the_wire_form() {
+        for job in sample_jobs() {
             let line = encode_job(&job);
             assert!(!line.contains('\n'), "one line per job: {line}");
             let back = parse_job(&line).expect("parses");
@@ -646,8 +554,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn responses_round_trip_through_the_wire_form() {
+    /// One response per [`JobResponse`] variant (a measured and a
+    /// predicted row).
+    fn sample_responses() -> Vec<JobResponse> {
         let row = SweepRow {
             name: "example_4_1/hsm".to_string(),
             task: "hsm".to_string(),
@@ -679,7 +588,7 @@ mod tests {
                 seed_cores: 2,
             }),
         };
-        let responses = vec![
+        vec![
             JobResponse::Pong,
             JobResponse::Translated {
                 name: "tiny".to_string(),
@@ -696,8 +605,12 @@ mod tests {
                 message: "parse stage: unexpected token".to_string(),
             },
             JobResponse::ShuttingDown,
-        ];
-        for response in responses {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip_through_the_wire_form() {
+        for response in sample_responses() {
             let line = encode_response(9, &response);
             assert!(!line.contains('\n'), "one line per response: {line}");
             let (id, back) = parse_response(&line).expect("parses");
@@ -728,31 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_simulate_jobs_still_parse() {
-        let line = r#"{"id": 7, "op": "simulate", "name": "tiny",
-            "source": "int main() { return 1; }", "cores": 2,
-            "mode": "hsm", "opt_level": "O2"}"#;
-        let job = parse_job(line).expect("parses");
-        assert_eq!(
-            job.request,
-            JobRequest::Simulate {
-                name: "tiny".to_string(),
-                source: "int main() { return 1; }".to_string(),
-                cores: 2,
-                scenario: Scenario::new(Mode::RcceHsm).opt_level(OptLevel::O2),
-            }
-        );
-        // But the encoder only ever emits the nested scenario object —
-        // re-encoding a legacy job normalizes it, and it still parses.
-        let encoded = encode_job(&job);
-        assert!(
-            encoded.contains("\"scenario\":{\"mode\":\"hsm\""),
-            "{encoded}"
-        );
-        assert_eq!(parse_job(&encoded).expect("reparses"), job);
-    }
-
-    #[test]
     fn malformed_lines_are_rejected_with_context() {
         assert!(parse_job("not json").is_err());
         let err = parse_job(r#"{"id": 1, "op": "warp"}"#).unwrap_err();
@@ -761,5 +649,76 @@ mod tests {
         assert!(err.to_string().contains("missing `id`"), "{err}");
         let err = parse_response(r#"{"id": 1, "kind": "???"}"#).unwrap_err();
         assert!(err.to_string().contains("unknown kind"), "{err}");
+        // A `simulate` job must carry its nested scenario: no flat `mode`
+        // sibling and no silent default.
+        for line in [
+            r#"{"id": 2, "op": "simulate", "name": "t", "source": "int main() { return 0; }", "cores": 2}"#,
+            r#"{"id": 2, "op": "simulate", "name": "t", "source": "int main() { return 0; }", "cores": 2, "mode": "hsm"}"#,
+        ] {
+            let err = parse_job(line).unwrap_err();
+            assert!(err.to_string().contains("missing `scenario`"), "{err}");
+        }
+    }
+
+    /// Bytes that steer mutations towards structurally interesting JSON.
+    const INTERESTING: &[u8] = b"{}[]\":,\\-0123456789 eEtnu.\x00\x7f\xff";
+
+    /// Truncates `line` or overwrites, inserts or deletes a few of its
+    /// bytes; invalid UTF-8 is replaced, as a socket reader would.
+    fn mutate(line: &str, rng: &mut testkit::SplitMix64) -> String {
+        let mut bytes = line.as_bytes().to_vec();
+        if rng.gen_bool() {
+            bytes.truncate(rng.gen_range_usize(0, bytes.len() + 1));
+        } else {
+            for _ in 0..rng.gen_range_usize(1, 5) {
+                let at = rng.gen_range_usize(0, bytes.len() + 1);
+                let byte = if rng.gen_bool() {
+                    *rng.choose(INTERESTING)
+                } else {
+                    rng.next_u32() as u8
+                };
+                match rng.gen_range_usize(0, 3) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Hostile input: seeded truncations and byte mutations of valid job,
+    /// response and sweep-spec lines make every decoder return `Ok` or
+    /// `Err`, never panic (a panic fails the property with its case
+    /// seed). Whatever a decoder accepts must re-encode to the same
+    /// value.
+    #[test]
+    fn mutated_wire_lines_never_panic_the_decoders() {
+        let jobs = sample_jobs();
+        let mut lines: Vec<String> = jobs.iter().map(encode_job).collect();
+        lines.extend(sample_responses().iter().map(|r| encode_response(7, r)));
+        for job in &jobs {
+            if let JobRequest::Sweep { spec } = &job.request {
+                lines.push(spec.to_json().render_compact());
+            }
+        }
+        testkit::prop::check("wire_fuzz_mutated_lines", 2_000, |rng| {
+            let seed: &String = rng.choose(&lines);
+            let line = mutate(seed, rng);
+            if let Ok(job) = parse_job(&line) {
+                assert_eq!(parse_job(&encode_job(&job)).as_ref(), Ok(&job), "{line}");
+            }
+            if let Ok((id, response)) = parse_response(&line) {
+                let again = parse_response(&encode_response(id, &response));
+                assert_eq!(again, Ok((id, response)), "{line}");
+            }
+            if let Ok(doc) = Json::parse(&line) {
+                if let Ok(spec) = SweepSpec::from_json(&doc) {
+                    assert_eq!(SweepSpec::from_json(&spec.to_json()), Ok(spec), "{line}");
+                }
+            }
+        });
     }
 }

@@ -13,7 +13,7 @@
 //! delegating wrapper per axis during the PR 9 migration) are gone;
 //! DESIGN.md §13 keeps the migration table.
 
-use crate::json::Json;
+use crate::json::{Fields, Json};
 use crate::spec::SpecError;
 use hsm_exec::ExecModel;
 use hsm_partition::Policy;
@@ -152,27 +152,16 @@ impl Scenario {
     ///
     /// Rejects unknown labels and a missing `mode`.
     pub fn from_json(doc: &Json) -> Result<Self, SpecError> {
-        let mode = match doc.get("mode") {
-            Some(Json::Str(label)) => Mode::parse(label)
-                .ok_or_else(|| SpecError::new(format!("unknown mode `{label}`")))?,
-            _ => return Err(SpecError::new("scenario missing a `mode` string")),
-        };
-        let mut scenario = Scenario::new(mode);
-        if let Some(model) = doc.get("exec_model") {
-            scenario.exec_model = match model {
-                Json::Str(label) => ExecModel::parse(label)
-                    .ok_or_else(|| SpecError::new(format!("unknown exec model `{label}`")))?,
-                _ => return Err(SpecError::new("scenario `exec_model` must be a string")),
-            };
-        }
-        if let Some(level) = doc.get("opt_level") {
-            scenario.opt_level = match level {
-                Json::Str(label) => OptLevel::parse(label)
-                    .ok_or_else(|| SpecError::new(format!("unknown opt level `{label}`")))?,
-                _ => return Err(SpecError::new("scenario `opt_level` must be a string")),
-            };
-        }
-        Ok(scenario)
+        let f = Fields::new(doc, "scenario");
+        Ok(Scenario {
+            mode: f.required("mode", f.opt_label("mode", "mode", Mode::parse)?)?,
+            exec_model: f
+                .opt_label("exec_model", "exec model", ExecModel::parse)?
+                .unwrap_or(ExecModel::Coherent),
+            opt_level: f
+                .opt_label("opt_level", "opt level", OptLevel::parse)?
+                .unwrap_or(OptLevel::O0),
+        })
     }
 }
 

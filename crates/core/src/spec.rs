@@ -16,7 +16,7 @@
 //! server has no file for.
 
 use crate::experiment::{Mode, SweepMatrix, SweepTask};
-use crate::json::{Json, JsonError};
+use crate::json::{FieldError, Fields, Json};
 use crate::scenario::Scenario;
 use crate::{ArtifactCache, ExecModel, OptLevel};
 use scc_sim::SccConfig;
@@ -38,6 +38,23 @@ pub struct SpecProgram {
 }
 
 impl SpecProgram {
+    /// Parses one `programs` entry of a spec document.
+    fn from_json(doc: &Json) -> Result<Self, SpecError> {
+        let f = Fields::new(doc, "program");
+        let name = f.str("name")?;
+        let what = format!("program `{name}`");
+        let f = Fields::new(doc, &what);
+        let program = SpecProgram {
+            cores: f.positive("cores")?,
+            source: f.opt_str("source")?,
+            name,
+        };
+        if program.source.is_none() {
+            check_corpus_name(&program.name)?;
+        }
+        Ok(program)
+    }
+
     /// A corpus program reference (source resolved at matrix build).
     pub fn corpus(name: impl Into<String>, cores: usize) -> Self {
         SpecProgram {
@@ -116,10 +133,22 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-impl From<JsonError> for SpecError {
-    fn from(e: JsonError) -> Self {
-        SpecError::new(e.to_string())
+impl From<FieldError> for SpecError {
+    fn from(e: FieldError) -> Self {
+        SpecError { message: e.message }
     }
+}
+
+/// Rejects a corpus program name that could reach outside
+/// [`corpus_dir`]: it must be one non-empty path component with no `/`
+/// or `\` and be neither `.` nor `..`.
+fn check_corpus_name(name: &str) -> Result<(), SpecError> {
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+        return Err(SpecError::new(format!(
+            "corpus program name `{name}` must be a plain file stem"
+        )));
+    }
+    Ok(())
 }
 
 /// The repository's corpus directory (compile-time anchored, like the
@@ -136,29 +165,24 @@ impl SweepSpec {
             .programs
             .iter()
             .map(|p| {
-                let mut pairs = vec![
-                    ("name", Json::Str(p.name.clone())),
-                    ("cores", Json::UInt(p.cores as u64)),
-                ];
-                if let Some(src) = &p.source {
-                    pairs.push(("source", Json::Str(src.clone())));
-                }
-                Json::obj(pairs)
+                Json::obj_some(vec![
+                    ("name", Some(Json::str(&p.name))),
+                    ("cores", Some(Json::UInt(p.cores as u64))),
+                    ("source", p.source.as_deref().map(Json::str)),
+                ])
             })
             .collect();
         let scenarios = self.scenarios.iter().map(|s| s.to_json()).collect();
-        let mut pairs = vec![
-            ("programs", Json::Arr(programs)),
-            ("scenarios", Json::Arr(scenarios)),
-            ("workers", Json::UInt(self.workers as u64)),
-        ];
-        if let Some(dir) = &self.cache_dir {
-            pairs.push(("cache_dir", Json::Str(dir.clone())));
-        }
-        if self.predict_first {
-            pairs.push(("predict_first", Json::Bool(true)));
-        }
-        Json::obj(pairs)
+        Json::obj_some(vec![
+            ("programs", Some(Json::Arr(programs))),
+            ("scenarios", Some(Json::Arr(scenarios))),
+            ("workers", Some(Json::UInt(self.workers as u64))),
+            ("cache_dir", self.cache_dir.as_deref().map(Json::str)),
+            (
+                "predict_first",
+                self.predict_first.then_some(Json::Bool(true)),
+            ),
+        ])
     }
 
     /// Parses a spec from its JSON document. Missing fields take the
@@ -166,131 +190,44 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Rejects unknown mode/model/level labels and malformed programs.
+    /// Rejects unknown mode/model/level labels, malformed programs and
+    /// corpus names that are not a single plain file stem (see
+    /// [`SweepSpec::resolve_source`]).
     pub fn from_json(doc: &Json) -> Result<Self, SpecError> {
+        let f = Fields::new(doc, "spec");
         let mut spec = SweepSpec::default();
-        if let Some(programs) = doc.get("programs") {
-            let Json::Arr(items) = programs else {
-                return Err(SpecError::new("`programs` must be an array"));
-            };
+        if let Some(items) = f.opt_arr("programs")? {
             spec.programs = items
                 .iter()
-                .map(|item| {
-                    let name = match item.get("name") {
-                        Some(Json::Str(s)) => s.clone(),
-                        _ => return Err(SpecError::new("program without a `name` string")),
-                    };
-                    let cores = match item.get("cores") {
-                        Some(Json::UInt(n)) if *n > 0 => *n as usize,
-                        _ => {
-                            return Err(SpecError::new(format!(
-                                "program `{name}` needs a positive `cores` count"
-                            )))
-                        }
-                    };
-                    let source = match item.get("source") {
-                        None => None,
-                        Some(Json::Str(s)) => Some(s.clone()),
-                        Some(_) => {
-                            return Err(SpecError::new(format!(
-                                "program `{name}`: `source` must be a string"
-                            )))
-                        }
-                    };
-                    Ok(SpecProgram {
-                        name,
-                        cores,
-                        source,
-                    })
-                })
+                .map(SpecProgram::from_json)
                 .collect::<Result<_, _>>()?;
         }
-        if let Some(scenarios) = doc.get("scenarios") {
-            let Json::Arr(items) = scenarios else {
-                return Err(SpecError::new("`scenarios` must be an array"));
-            };
+        if let Some(items) = f.opt_arr("scenarios")? {
             spec.scenarios = items
                 .iter()
                 .map(Scenario::from_json)
                 .collect::<Result<_, _>>()?;
-        } else {
-            // Legacy flat form: a `modes` list plus spec-wide
-            // `exec_model`/`opt_level` fields expand to one scenario per
-            // mode carrying the shared axes.
-            let mut exec_model = ExecModel::Coherent;
-            let mut opt_level = OptLevel::O0;
-            if let Some(model) = doc.get("exec_model") {
-                exec_model = match model {
-                    Json::Str(label) => ExecModel::parse(label)
-                        .ok_or_else(|| SpecError::new(format!("unknown exec model `{label}`")))?,
-                    _ => return Err(SpecError::new("`exec_model` must be a string")),
-                };
-            }
-            if let Some(level) = doc.get("opt_level") {
-                opt_level = match level {
-                    Json::Str(label) => OptLevel::parse(label)
-                        .ok_or_else(|| SpecError::new(format!("unknown opt level `{label}`")))?,
-                    _ => return Err(SpecError::new("`opt_level` must be a string")),
-                };
-            }
-            if let Some(modes) = doc.get("modes") {
-                let Json::Arr(items) = modes else {
-                    return Err(SpecError::new("`modes` must be an array"));
-                };
-                spec.scenarios = items
-                    .iter()
-                    .map(|item| match item {
-                        Json::Str(label) => Mode::parse(label)
-                            .ok_or_else(|| SpecError::new(format!("unknown mode `{label}`"))),
-                        _ => Err(SpecError::new("`modes` entries must be strings")),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-                    .into_iter()
-                    .map(|mode| {
-                        Scenario::new(mode)
-                            .exec_model(exec_model)
-                            .opt_level(opt_level)
-                    })
-                    .collect();
-            } else {
-                spec.scenarios = spec
-                    .scenarios
-                    .iter()
-                    .map(|s| s.exec_model(exec_model).opt_level(opt_level))
-                    .collect();
-            }
         }
-        if let Some(workers) = doc.get("workers") {
-            spec.workers = match workers {
-                Json::UInt(n) => *n as usize,
-                _ => return Err(SpecError::new("`workers` must be a non-negative integer")),
-            };
-        }
-        if let Some(dir) = doc.get("cache_dir") {
-            spec.cache_dir = match dir {
-                Json::Str(s) => Some(s.clone()),
-                _ => return Err(SpecError::new("`cache_dir` must be a string")),
-            };
-        }
-        if let Some(flag) = doc.get("predict_first") {
-            spec.predict_first = match flag {
-                Json::Bool(b) => *b,
-                _ => return Err(SpecError::new("`predict_first` must be a boolean")),
-            };
-        }
+        spec.workers = f.opt_u64("workers")?.map_or(spec.workers, |n| n as usize);
+        spec.cache_dir = f.opt_str("cache_dir")?;
+        spec.predict_first = f.opt_bool("predict_first")?.unwrap_or(spec.predict_first);
         Ok(spec)
     }
 
     /// Resolves one program's source: inline if present, the corpus file
-    /// otherwise.
+    /// `corpus_dir()/{name}.c` otherwise.
     ///
     /// # Errors
     ///
+    /// Rejects a corpus name that is empty or not a single plain path
+    /// component (a `/`, a `\`, `.` or `..`), so a spec — local or sent
+    /// to `hsmd` — can only name files inside the corpus directory.
     /// Reports an unreadable corpus file.
     pub fn resolve_source(program: &SpecProgram) -> Result<Arc<str>, SpecError> {
         if let Some(src) = &program.source {
             return Ok(Arc::from(src.as_str()));
         }
+        check_corpus_name(&program.name)?;
         let path = corpus_dir().join(format!("{}.c", program.name));
         std::fs::read_to_string(&path).map(Arc::from).map_err(|e| {
             SpecError::new(format!(
@@ -379,15 +316,10 @@ impl SweepSpec {
                 .map(str::trim)
                 .filter(|label| !label.is_empty())
                 .map(|label| {
+                    let labels = Mode::ALL.map(Mode::label);
                     Mode::parse(label)
                         .map(|mode| template.mode(mode))
-                        .ok_or_else(|| {
-                            let labels: Vec<&str> = Mode::ALL.iter().map(|m| m.label()).collect();
-                            SpecError::new(format!(
-                                "--modes needs labels from: {}",
-                                labels.join(", ")
-                            ))
-                        })
+                        .ok_or_else(|| needs_label("--modes needs labels from", &labels))
                 })
                 .collect::<Result<_, _>>()?;
             if self.scenarios.is_empty() {
@@ -395,17 +327,15 @@ impl SweepSpec {
             }
         }
         if let Some(value) = take_flag(args, "--exec-model")? {
-            let model = ExecModel::parse(&value).ok_or_else(|| {
-                let labels: Vec<&str> = ExecModel::ALL.iter().map(|m| m.label()).collect();
-                SpecError::new(format!("--exec-model needs one of: {}", labels.join(", ")))
-            })?;
+            let labels = ExecModel::ALL.map(ExecModel::label);
+            let model = ExecModel::parse(&value)
+                .ok_or_else(|| needs_label("--exec-model needs one of", &labels))?;
             self.scenarios = self.scenarios.iter().map(|s| s.exec_model(model)).collect();
         }
         if let Some(value) = take_flag(args, "--opt-level")? {
-            let level = OptLevel::parse(&value).ok_or_else(|| {
-                let labels: Vec<&str> = OptLevel::ALL.iter().map(|l| l.label()).collect();
-                SpecError::new(format!("--opt-level needs one of: {}", labels.join(", ")))
-            })?;
+            let labels = OptLevel::ALL.map(OptLevel::label);
+            let level = OptLevel::parse(&value)
+                .ok_or_else(|| needs_label("--opt-level needs one of", &labels))?;
             self.scenarios = self.scenarios.iter().map(|s| s.opt_level(level)).collect();
         }
         if let Some(value) = take_flag(args, "--cache-dir")? {
@@ -427,6 +357,11 @@ impl SweepSpec {
         }
         Ok(())
     }
+}
+
+/// The error for a flag value outside `labels`, listing them.
+fn needs_label(needs: &str, labels: &[&str]) -> SpecError {
+    SpecError::new(format!("{needs}: {}", labels.join(", ")))
 }
 
 /// Removes a valueless `flag` from `args`, reporting whether it was
@@ -523,39 +458,46 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_documents_expand_to_scenarios() {
-        let doc = Json::parse(
-            r#"{"programs": [{"name": "example_4_1", "cores": 3}],
-                "modes": ["hsm", "task"], "exec_model": "non_coherent_wb",
-                "opt_level": "O2"}"#,
-        )
-        .expect("parses");
-        let spec = SweepSpec::from_json(&doc).expect("spec");
-        assert_eq!(
-            spec.scenarios,
-            vec![
-                Scenario::new(Mode::RcceHsm)
-                    .exec_model(ExecModel::NonCoherentWriteBack)
-                    .opt_level(OptLevel::O2),
-                Scenario::new(Mode::TaskDataflow)
-                    .exec_model(ExecModel::NonCoherentWriteBack)
-                    .opt_level(OptLevel::O2),
-            ]
-        );
-        // Flat axes without a mode list still apply to the defaults.
-        let doc = Json::parse(r#"{"opt_level": "O1"}"#).expect("parses");
-        let spec = SweepSpec::from_json(&doc).expect("spec");
-        assert!(spec.scenarios.iter().all(|s| s.opt_level == OptLevel::O1));
+    fn bad_labels_are_rejected_with_context() {
+        let doc = Json::parse(r#"{"scenarios": [{"mode": "warp"}]}"#).expect("parses");
+        let err = SweepSpec::from_json(&doc).unwrap_err();
+        assert!(err.to_string().contains("unknown mode `warp`"), "{err}");
+        let doc =
+            Json::parse(r#"{"scenarios": [{"mode": "hsm", "opt_level": "O9"}]}"#).expect("parses");
+        let err = SweepSpec::from_json(&doc).unwrap_err();
+        assert!(err.to_string().contains("unknown opt level"), "{err}");
     }
 
     #[test]
-    fn bad_labels_are_rejected_with_context() {
-        let doc = Json::parse(r#"{"modes": ["warp"]}"#).expect("parses");
-        let err = SweepSpec::from_json(&doc).unwrap_err();
-        assert!(err.to_string().contains("unknown mode `warp`"), "{err}");
-        let doc = Json::parse(r#"{"opt_level": "O9"}"#).expect("parses");
-        let err = SweepSpec::from_json(&doc).unwrap_err();
-        assert!(err.to_string().contains("unknown opt level"), "{err}");
+    fn corpus_names_cannot_leave_the_corpus_directory() {
+        for name in [
+            "../../probe",
+            "..",
+            ".",
+            "",
+            "sub/dir",
+            "/etc/passwd",
+            "a\\b",
+        ] {
+            let doc = Json::obj(vec![(
+                "programs",
+                Json::Arr(vec![Json::obj(vec![
+                    ("name", Json::str(name)),
+                    ("cores", Json::UInt(2)),
+                ])]),
+            )]);
+            let err = SweepSpec::from_json(&doc).unwrap_err();
+            assert!(err.to_string().contains("plain file stem"), "{name}: {err}");
+            // Specs built in code are checked where the file is read.
+            let err = SweepSpec::resolve_source(&SpecProgram::corpus(name, 2)).unwrap_err();
+            assert!(err.to_string().contains("plain file stem"), "{name}: {err}");
+        }
+        // An inline program's name is only a label, never a path.
+        let doc = Json::parse(
+            r#"{"programs": [{"name": "../x", "cores": 2, "source": "int main() { return 0; }"}]}"#,
+        )
+        .expect("parses");
+        assert!(SweepSpec::from_json(&doc).is_ok());
     }
 
     #[test]

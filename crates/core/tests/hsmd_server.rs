@@ -146,6 +146,34 @@ fn malformed_job_line_reports_an_error_and_keeps_the_connection() {
 }
 
 #[test]
+fn sweep_jobs_cannot_name_files_outside_the_corpus() {
+    let (addr, server, _cache) = start_server(ServerOptions::default());
+    let handle = server.handle();
+    let run = std::thread::spawn(move || server.run());
+
+    // `../corpus/example_4_1` names a real C file by a path that leaves
+    // the corpus directory: the server must refuse to read it.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(
+            b"{\"id\":3,\"op\":\"sweep\",\"spec\":{\"programs\":\
+              [{\"name\":\"../corpus/example_4_1\",\"cores\":2}]}}\n",
+        )
+        .expect("write sweep");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    assert!(
+        line.contains("\"kind\":\"error\""),
+        "error response: {line}"
+    );
+    assert!(line.contains("plain file stem"), "names the cause: {line}");
+
+    handle.stop();
+    run.join().expect("run thread").expect("clean exit");
+}
+
+#[test]
 fn expired_deadline_cancels_remaining_sweep_points() {
     let (addr, server, _cache) = start_server(ServerOptions::default());
     let handle = server.handle();

@@ -16,7 +16,6 @@
 //! | dead code elimination | O1    | drops unreachable instructions, `Nop`s, and stores to registers never read |
 //! | strength reduction    | O2    | `x * 2^k` → `x << k` and integer identities (`x+0`, `x*1`, `x/1`, `x<<0`), gated on a whole-function register type analysis proving the operand is an integer |
 //! | common subexpressions | O2    | block-local value numbering over pure register/constant expressions; a repeated expression is captured once (`Dup; LocalSet`) and re-read (`LocalGet`) |
-//! | load forwarding       | O2    | block-local reuse of loads from **non-escaping private stack slots only** — never globals, never computed addresses, never across calls or synchronization intrinsics |
 //!
 //! # Soundness against shared memory
 //!
@@ -25,11 +24,8 @@
 //! *any* two instructions. Every pass therefore follows three rules:
 //!
 //! 1. **Loads and stores through the memory system are never deleted,
-//!    duplicated or reordered** — except for load forwarding, which is
-//!    restricted to frame-stack slots whose address provably never
-//!    escapes the function (so no other thread can hold a pointer to
-//!    them) and is additionally killed at every call and non-pure
-//!    intrinsic (every synchronization operation is an intrinsic).
+//!    duplicated or reordered.** No pass has an exception: every pass
+//!    treats `Load`, `Store`, calls and non-pure intrinsics as opaque.
 //! 2. **Faults are preserved**: an integer division by a constant zero is
 //!    left in place so the run still traps exactly where the unoptimized
 //!    program would.
@@ -42,7 +38,7 @@
 //! See `docs/OPTIMIZER.md` for the worked example and the full soundness
 //! argument per pass.
 
-use crate::compile::{FrameVar, Program};
+use crate::compile::Program;
 use crate::instr::Instr;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -58,8 +54,8 @@ pub enum OptLevel {
     O0,
     /// Constant folding, jump simplification and dead-code elimination.
     O1,
-    /// Everything in `O1` plus strength reduction, common-subexpression
-    /// elimination and private-stack load forwarding.
+    /// Everything in `O1` plus strength reduction and
+    /// common-subexpression elimination.
     O2,
 }
 
@@ -136,9 +132,6 @@ pub fn optimize_with_stats(program: &Program, level: OptLevel) -> (Program, OptS
             if level >= OptLevel::O2 {
                 changed |= apply(&mut code, |c, l| strength_pass(c, l, func.n_params, n_regs));
                 changed |= apply(&mut code, |c, l| cse_pass(c, l, &mut n_regs));
-                changed |= apply(&mut code, |c, l| {
-                    forward_loads_pass(c, l, &func.frame_vars, &mut n_regs)
-                });
             }
             if !changed {
                 break;
@@ -1075,333 +1068,6 @@ fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16) -> Patch {
     p
 }
 
-// ------------------------------------------------ load forwarding (O2) --
-
-/// Abstract tag for the escape/forwarding scans: either a frame address
-/// with a known offset, or anything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    Addr(u32),
-    Other,
-}
-
-/// The frame variable covering `offset` (last match wins, mirroring
-/// lexical shadowing, same as `Function::frame_var_at`).
-fn var_at(frame_vars: &[FrameVar], offset: u32) -> Option<&FrameVar> {
-    frame_vars
-        .iter()
-        .rev()
-        .find(|v| offset >= v.offset && offset < v.offset + v.size)
-}
-
-/// Escape analysis over frame variables: a variable escapes when any
-/// `LocalMemAddr` of it is consumed by anything other than the address
-/// slot of a direct `Load`/`Store` — address arithmetic (array
-/// indexing), a register store (pointer locals), a call argument
-/// (`&x` handed to another function or to `pthread_create`), a stored
-/// *value* (a pointer written to memory, visible to other threads), or
-/// surviving to a block boundary. Only non-escaping variables are
-/// eligible for load forwarding: no other thread can possibly hold
-/// their address.
-fn escaped_vars(code: &[Instr], leaders: &[bool], frame_vars: &[FrameVar]) -> Vec<u32> {
-    let mut escaped: Vec<u32> = Vec::new();
-    let mark = |escaped: &mut Vec<u32>, off: u32| {
-        let key = var_at(frame_vars, off).map_or(off, |v| v.offset);
-        if !escaped.contains(&key) {
-            escaped.push(key);
-        }
-    };
-    let mut stack: Vec<Tag> = Vec::new();
-    let flush = |stack: &mut Vec<Tag>, escaped: &mut Vec<u32>| {
-        for t in stack.drain(..) {
-            if let Tag::Addr(off) = t {
-                mark(escaped, off);
-            }
-        }
-    };
-    for (i, ins) in code.iter().enumerate() {
-        if leaders[i] {
-            // Entries alive across a block boundary lose tracking.
-            flush(&mut stack, &mut escaped);
-        }
-        let pop = |stack: &mut Vec<Tag>| stack.pop().unwrap_or(Tag::Other);
-        let consume = |stack: &mut Vec<Tag>, escaped: &mut Vec<u32>| {
-            if let Tag::Addr(off) = pop(stack) {
-                mark(escaped, off);
-            }
-        };
-        match *ins {
-            Instr::LocalMemAddr(off) => stack.push(Tag::Addr(off)),
-            Instr::PushI(_) | Instr::PushF(_) | Instr::LocalGet(_) => stack.push(Tag::Other),
-            Instr::Load(_) => {
-                pop(&mut stack); // address slot of a direct load: fine
-                stack.push(Tag::Other);
-            }
-            Instr::Store(_, keep) => {
-                // A frame address stored *as the value* escapes.
-                consume(&mut stack, &mut escaped);
-                pop(&mut stack); // address slot of a direct store: fine
-                if keep {
-                    stack.push(Tag::Other);
-                }
-            }
-            Instr::Dup => {
-                let t = stack.last().copied().unwrap_or(Tag::Other);
-                stack.push(t);
-            }
-            Instr::Pop => {
-                pop(&mut stack);
-            }
-            Instr::Swap => {
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                stack.push(b);
-                stack.push(a);
-            }
-            Instr::Rot3 => {
-                let c = pop(&mut stack);
-                let b = pop(&mut stack);
-                let a = pop(&mut stack);
-                stack.push(b);
-                stack.push(c);
-                stack.push(a);
-            }
-            Instr::LocalSet(_) => consume(&mut stack, &mut escaped),
-            Instr::Add
-            | Instr::Sub
-            | Instr::Mul
-            | Instr::Div
-            | Instr::Rem
-            | Instr::Shl
-            | Instr::Shr
-            | Instr::BitAnd
-            | Instr::BitOr
-            | Instr::BitXor
-            | Instr::CmpLt
-            | Instr::CmpLe
-            | Instr::CmpGt
-            | Instr::CmpGe
-            | Instr::CmpEq
-            | Instr::CmpNe => {
-                consume(&mut stack, &mut escaped);
-                consume(&mut stack, &mut escaped);
-                stack.push(Tag::Other);
-            }
-            Instr::Neg | Instr::Not | Instr::BitNot | Instr::I2F | Instr::F2I => {
-                consume(&mut stack, &mut escaped);
-                stack.push(Tag::Other);
-            }
-            Instr::Jump(_) | Instr::Nop => {}
-            Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
-                consume(&mut stack, &mut escaped);
-            }
-            Instr::Call(_, n) | Instr::CallIntrinsic(_, n) => {
-                for _ in 0..n {
-                    consume(&mut stack, &mut escaped);
-                }
-                stack.push(Tag::Other);
-            }
-            Instr::Ret => {
-                consume(&mut stack, &mut escaped);
-                flush(&mut stack, &mut escaped);
-            }
-            Instr::RetVoid => flush(&mut stack, &mut escaped),
-        }
-    }
-    flush(&mut stack, &mut escaped);
-    escaped
-}
-
-/// One forwardable load occurrence.
-struct LoadOcc {
-    load_idx: usize,
-    scratch: Option<u16>,
-}
-
-/// Block-local load forwarding for **non-escaping frame-stack slots**:
-/// the second `LocalMemAddr off; Load kind` of the same slot in a block
-/// becomes `LocalGet scratch`, with the first load capturing its value
-/// (`Dup; LocalSet scratch`).
-///
-/// Sharing-soundness rules, in order of importance:
-///
-/// * Only non-escaping slots qualify ([`escaped_vars`]): nobody else —
-///   no other thread, no callee, no pointer stored anywhere — can have
-///   their address, so no store this pass cannot see can change them.
-///   Globals (`PushI` addresses, including every pthread-shared
-///   variable) and Shared-region addresses never match the pattern.
-/// * Availability dies at every `Call` and every non-pure
-///   `CallIntrinsic` — all synchronization operations (mutex, barrier,
-///   RCCE put/get/flag) are intrinsics, so forwarding never crosses a
-///   sync point even though a non-escaping slot could not be affected.
-/// * A direct store into the variable kills its availability; an
-///   indirect store (computed address) conservatively kills everything.
-/// * Availability is block-local, so the capture dominates every reuse.
-fn forward_loads_pass(
-    code: &[Instr],
-    leaders: &[bool],
-    frame_vars: &[FrameVar],
-    n_regs: &mut u16,
-) -> Patch {
-    let escaped = escaped_vars(code, leaders, frame_vars);
-    let var_key = |off: u32| var_at(frame_vars, off).map_or(off, |v| v.offset);
-    let mut p = Patch::new(code.len());
-    // (slot offset, kind discriminator) → live occurrence.
-    let mut avail: HashMap<(u32, crate::value::MemKind), LoadOcc> = HashMap::new();
-    let mut stack: Vec<Tag> = Vec::new();
-    for (i, ins) in code.iter().enumerate() {
-        if leaders[i] {
-            stack.clear();
-            avail.clear();
-        }
-        // Candidate pattern: LocalMemAddr(off) at i, Load(kind) at i+1.
-        if let Instr::LocalMemAddr(off) = *ins {
-            if let Some(Instr::Load(kind)) = code.get(i + 1).copied() {
-                let eligible = !leaders[i + 1]
-                    && !escaped.contains(&var_key(off))
-                    && !p.is_set(i)
-                    && !p.is_set(i + 1);
-                if eligible {
-                    match avail.get_mut(&(off, kind)) {
-                        Some(occ) => {
-                            let scratch = match occ.scratch {
-                                Some(s) => Some(s),
-                                None if !p.is_set(occ.load_idx) && *n_regs < u16::MAX - 2 => {
-                                    let s = *n_regs;
-                                    *n_regs += 1;
-                                    p.set(
-                                        occ.load_idx,
-                                        vec![Instr::Load(kind), Instr::Dup, Instr::LocalSet(s)],
-                                    );
-                                    occ.scratch = Some(s);
-                                    Some(s)
-                                }
-                                None => None,
-                            };
-                            if let Some(s) = scratch {
-                                p.set(i, vec![]);
-                                p.set(i + 1, vec![Instr::LocalGet(s)]);
-                            }
-                        }
-                        None => {
-                            avail.insert(
-                                (off, kind),
-                                LoadOcc {
-                                    load_idx: i + 1,
-                                    scratch: None,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        // Kills, tracked over the same tag stack as the escape scan.
-        match *ins {
-            Instr::Store(_, _) => {
-                // Peek the address slot (below the value) before the
-                // generic simulation pops it.
-                let addr = stack
-                    .len()
-                    .checked_sub(2)
-                    .and_then(|k| stack.get(k))
-                    .copied()
-                    .unwrap_or(Tag::Other);
-                match addr {
-                    Tag::Addr(off) => {
-                        let key = var_key(off);
-                        avail.retain(|&(o, _), _| var_key(o) != key);
-                    }
-                    Tag::Other => avail.clear(),
-                }
-            }
-            Instr::Call(..) => avail.clear(),
-            Instr::CallIntrinsic(intr, _) if !intr.is_pure() => avail.clear(),
-            _ => {}
-        }
-        sim_tags(*ins, &mut stack);
-    }
-    p
-}
-
-/// Tag-stack simulation shared by the forwarding scan (escape analysis
-/// runs its own copy because it also marks consumers).
-fn sim_tags(ins: Instr, stack: &mut Vec<Tag>) {
-    let pop = |stack: &mut Vec<Tag>| stack.pop().unwrap_or(Tag::Other);
-    match ins {
-        Instr::LocalMemAddr(off) => stack.push(Tag::Addr(off)),
-        Instr::PushI(_) | Instr::PushF(_) | Instr::LocalGet(_) => stack.push(Tag::Other),
-        Instr::Load(_) => {
-            pop(stack);
-            stack.push(Tag::Other);
-        }
-        Instr::Store(_, keep) => {
-            pop(stack);
-            pop(stack);
-            if keep {
-                stack.push(Tag::Other);
-            }
-        }
-        Instr::Dup => {
-            let t = stack.last().copied().unwrap_or(Tag::Other);
-            stack.push(t);
-        }
-        Instr::Pop | Instr::LocalSet(_) | Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
-            pop(stack);
-        }
-        Instr::Swap => {
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(b);
-            stack.push(a);
-        }
-        Instr::Rot3 => {
-            let c = pop(stack);
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(b);
-            stack.push(c);
-            stack.push(a);
-        }
-        Instr::Neg | Instr::Not | Instr::BitNot | Instr::I2F | Instr::F2I => {
-            pop(stack);
-            stack.push(Tag::Other);
-        }
-        Instr::Add
-        | Instr::Sub
-        | Instr::Mul
-        | Instr::Div
-        | Instr::Rem
-        | Instr::Shl
-        | Instr::Shr
-        | Instr::BitAnd
-        | Instr::BitOr
-        | Instr::BitXor
-        | Instr::CmpLt
-        | Instr::CmpLe
-        | Instr::CmpGt
-        | Instr::CmpGe
-        | Instr::CmpEq
-        | Instr::CmpNe => {
-            pop(stack);
-            pop(stack);
-            stack.push(Tag::Other);
-        }
-        Instr::Jump(_) | Instr::Nop => {}
-        Instr::Call(_, n) | Instr::CallIntrinsic(_, n) => {
-            for _ in 0..n {
-                pop(stack);
-            }
-            stack.push(Tag::Other);
-        }
-        Instr::Ret => {
-            pop(stack);
-            stack.clear();
-        }
-        Instr::RetVoid => stack.clear(),
-    }
-}
-
 /// Renders a function's bytecode one instruction per line with indices —
 /// the listing format `docs/OPTIMIZER.md` uses for worked examples.
 pub fn disassemble(code: &[Instr]) -> String {
@@ -1418,7 +1084,6 @@ mod tests {
     use super::*;
     use crate::compile::{compile, STACKS_BASE};
     use crate::data::ByteMemory;
-    use crate::instr::Intrinsic;
     use crate::value::MemKind;
     use crate::vm::{StepOutcome, Vm};
 
@@ -1845,155 +1510,6 @@ mod tests {
         assert!(!apply(&mut c, |x, l| cse_pass(x, l, &mut n_regs)));
         assert_eq!(c, code);
         assert_eq!(n_regs, 0);
-    }
-
-    // ----------------------------------------- load-forwarding fixtures --
-
-    fn scalar_var(offset: u32, size: u32) -> FrameVar {
-        FrameVar {
-            name: format!("v{offset}"),
-            offset,
-            size,
-        }
-    }
-
-    #[test]
-    fn forwards_repeated_loads_of_private_slots() {
-        let vars = [scalar_var(0, 4)];
-        let code = vec![
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::Add,
-            Instr::Ret,
-        ];
-        let mut n_regs = 0u16;
-        let mut c = code;
-        assert!(apply(&mut c, |x, l| forward_loads_pass(
-            x,
-            l,
-            &vars,
-            &mut n_regs
-        )));
-        assert_eq!(
-            c,
-            vec![
-                Instr::LocalMemAddr(0),
-                Instr::Load(MemKind::I32),
-                Instr::Dup,
-                Instr::LocalSet(0),
-                Instr::LocalGet(0),
-                Instr::Add,
-                Instr::Ret,
-            ]
-        );
-    }
-
-    #[test]
-    fn never_forwards_escaping_slots() {
-        // The slot's address is passed to a call: another thread may
-        // write it, every load must go to memory.
-        let vars = [scalar_var(0, 4)];
-        let code = vec![
-            Instr::LocalMemAddr(0),
-            Instr::CallIntrinsic(Intrinsic::PthreadCreate, 1),
-            Instr::Pop,
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::Add,
-            Instr::Ret,
-        ];
-        let mut n_regs = 0u16;
-        let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| forward_loads_pass(
-            x,
-            l,
-            &vars,
-            &mut n_regs
-        )));
-        assert_eq!(c, code);
-    }
-
-    #[test]
-    fn forwarding_dies_at_sync_intrinsics() {
-        let vars = [scalar_var(0, 4)];
-        let code = vec![
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::Pop,
-            Instr::PushI(0),
-            Instr::CallIntrinsic(Intrinsic::RcceBarrier, 1),
-            Instr::Pop,
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::Ret,
-        ];
-        let mut n_regs = 0u16;
-        let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| forward_loads_pass(
-            x,
-            l,
-            &vars,
-            &mut n_regs
-        )));
-        assert_eq!(c, code);
-    }
-
-    #[test]
-    fn forwarding_dies_at_direct_stores() {
-        let vars = [scalar_var(0, 4)];
-        let code = vec![
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::Pop,
-            Instr::LocalMemAddr(0),
-            Instr::PushI(5),
-            Instr::Store(MemKind::I32, false),
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::Ret,
-        ];
-        let mut n_regs = 0u16;
-        let mut c = code.clone();
-        assert!(!apply(&mut c, |x, l| forward_loads_pass(
-            x,
-            l,
-            &vars,
-            &mut n_regs
-        )));
-        assert_eq!(c, code);
-    }
-
-    #[test]
-    fn pointer_escapes_via_register_and_memory_are_detected() {
-        let vars = [scalar_var(0, 4), scalar_var(4, 8)];
-        // &v0 stored into a register (pointer local): v0 escapes.
-        let via_reg = vec![Instr::LocalMemAddr(0), Instr::LocalSet(0), Instr::RetVoid];
-        let l = leaders(&via_reg);
-        assert_eq!(escaped_vars(&via_reg, &l, &vars), vec![0]);
-        // &v0 stored *as a value* into memory: v0 escapes.
-        let via_mem = vec![
-            Instr::PushI(0x1000_0000),
-            Instr::LocalMemAddr(0),
-            Instr::Store(MemKind::I64, false),
-            Instr::RetVoid,
-        ];
-        let l = leaders(&via_mem);
-        assert_eq!(escaped_vars(&via_mem, &l, &vars), vec![0]);
-        // Indexing arithmetic escapes the array var.
-        let via_arith = vec![
-            Instr::LocalMemAddr(4),
-            Instr::PushI(0),
-            Instr::Add,
-            Instr::Load(MemKind::I64),
-            Instr::Pop,
-            Instr::RetVoid,
-        ];
-        let l = leaders(&via_arith);
-        assert_eq!(escaped_vars(&via_arith, &l, &vars), vec![4]);
     }
 
     // --------------------------------------------- end-to-end fixtures --

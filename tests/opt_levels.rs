@@ -9,7 +9,7 @@
 //! contract. This suite is the optimizer's safety net; `exec_models.rs`
 //! is its template on the model axis.
 
-use hsm_core::{ExecModel, OptLevel, Pipeline, Scenario};
+use hsm_core::{ExecModel, Mode, OptLevel, Pipeline, Scenario};
 use hsm_exec::{SyncEvent, TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -59,30 +59,49 @@ fn observed(r: &hsm_exec::RunResult) -> (i64, Vec<String>) {
     (r.exit_code, r.output_sorted())
 }
 
+/// Runs `session` profiled in `mode` under `model` at every level and
+/// asserts that `O1` and `O2` match `O0` on the observables and on the
+/// per-region `reads`/`writes` of the run's [`hsm_exec::Profile`]. The
+/// second check pins the optimizer's first soundness rule end to end: no
+/// level may delete or duplicate a load or store that reaches the memory
+/// system.
+fn assert_level_invariant(name: &str, session: &Pipeline, mode: Mode, model: ExecModel) {
+    let run = |level: OptLevel| {
+        let scenario = Scenario::new(mode).exec_model(model).opt_level(level);
+        let (result, profile) = session
+            .clone()
+            .scenario(scenario)
+            .run_profiled()
+            .unwrap_or_else(|e| panic!("{name} {mode:?} {model:?} {level}: {e}"));
+        let traffic: Vec<(u64, u64)> = profile
+            .regions
+            .iter()
+            .map(|r| (r.reads, r.writes))
+            .collect();
+        (observed(&result), traffic)
+    };
+    let (observed_o0, traffic_o0) = run(OptLevel::O0);
+    for level in [OptLevel::O1, OptLevel::O2] {
+        let (observed_opt, traffic_opt) = run(level);
+        assert_eq!(
+            observed_o0, observed_opt,
+            "{name} under {model:?}: {level} {mode:?} run diverged from O0"
+        );
+        assert_eq!(
+            traffic_o0, traffic_opt,
+            "{name} under {model:?}: {level} changed the {mode:?} run's per-region reads/writes"
+        );
+    }
+}
+
 /// Translated (HSM) runs of the whole clean corpus: `O1` and `O2` agree
 /// with `O0` under every execution model.
 #[test]
 fn translated_corpus_is_level_invariant_under_every_model() {
     for (name, cores) in CLEAN {
+        let session = Pipeline::new(read(name)).cores(cores);
         for model in MODELS {
-            let session = Pipeline::new(read(name)).cores(cores);
-            let o0 = session
-                .clone()
-                .scenario(at(model, OptLevel::O0))
-                .run()
-                .unwrap_or_else(|e| panic!("{name} {model:?} O0: {e}"));
-            for level in [OptLevel::O1, OptLevel::O2] {
-                let opt = session
-                    .clone()
-                    .scenario(at(model, level))
-                    .run()
-                    .unwrap_or_else(|e| panic!("{name} {model:?} {level}: {e}"));
-                assert_eq!(
-                    observed(&o0),
-                    observed(&opt),
-                    "{name} under {model:?}: {level} HSM run diverged from O0"
-                );
-            }
+            assert_level_invariant(name, &session, Mode::RcceHsm, model);
         }
     }
 }
@@ -94,25 +113,9 @@ fn translated_corpus_is_level_invariant_under_every_model() {
 #[test]
 fn baseline_corpus_is_level_invariant_under_every_model() {
     for (name, cores) in CLEAN {
+        let session = Pipeline::new(read(name)).cores(cores);
         for model in MODELS {
-            let session = Pipeline::new(read(name)).cores(cores);
-            let o0 = session
-                .clone()
-                .scenario(at(model, OptLevel::O0))
-                .run_baseline()
-                .unwrap_or_else(|e| panic!("{name} {model:?} O0: {e}"));
-            for level in [OptLevel::O1, OptLevel::O2] {
-                let opt = session
-                    .clone()
-                    .scenario(at(model, level))
-                    .run_baseline()
-                    .unwrap_or_else(|e| panic!("{name} {model:?} {level}: {e}"));
-                assert_eq!(
-                    observed(&o0),
-                    observed(&opt),
-                    "{name} under {model:?}: {level} baseline run diverged from O0"
-                );
-            }
+            assert_level_invariant(name, &session, Mode::PthreadBaseline, model);
         }
     }
 }
@@ -124,25 +127,9 @@ fn baseline_corpus_is_level_invariant_under_every_model() {
 #[test]
 fn adversarial_corpus_is_level_invariant_under_every_model() {
     for (name, cores) in ADVERSARIAL {
+        let session = Pipeline::new(read(name)).cores(cores);
         for model in MODELS {
-            let session = Pipeline::new(read(name)).cores(cores);
-            let o0 = session
-                .clone()
-                .scenario(at(model, OptLevel::O0))
-                .run_baseline()
-                .unwrap_or_else(|e| panic!("{name} {model:?} O0: {e}"));
-            for level in [OptLevel::O1, OptLevel::O2] {
-                let opt = session
-                    .clone()
-                    .scenario(at(model, level))
-                    .run_baseline()
-                    .unwrap_or_else(|e| panic!("{name} {model:?} {level}: {e}"));
-                assert_eq!(
-                    observed(&o0),
-                    observed(&opt),
-                    "{name} under {model:?}: {level} adversarial run diverged from O0"
-                );
-            }
+            assert_level_invariant(name, &session, Mode::PthreadBaseline, model);
         }
     }
 }
@@ -293,7 +280,7 @@ fn sync_event_streams_are_level_invariant() {
 /// of the compiled program's cache key.
 #[test]
 fn multi_level_sweep_shares_artifacts_up_to_translation() {
-    use hsm_core::experiment::{sweep, Mode, SweepMatrix, SweepTask};
+    use hsm_core::experiment::{sweep, SweepMatrix, SweepTask};
     let src: Arc<str> = read("example_4_1.c").into();
     let matrix = SweepMatrix::new(scc_sim::SccConfig::table_6_1())
         .workers(2)
