@@ -28,14 +28,19 @@
 //! figures --client ADDR --rows FILE  # … same rows via the server (byte-diffable)
 //! ```
 //!
+//! The selected figure sections run as one sweep over `--workers N`
+//! threads (default: one per host core): a point two sections share is
+//! simulated once, and each section prints, in the order above, as soon
+//! as its points are done. Any worker count prints the same bytes.
+//!
 //! `--json` composes with the table selectors: `figures fig6.1 --json`
 //! prints Figure 6.1 and writes the manifest. `--check-sharing` runs every
 //! corpus program (including `corpus/adversarial/`) under the
 //! sharing-soundness oracle, prints the verdict table, folds the `sharing`
 //! section into the manifest when `--json` is also given, and exits
 //! non-zero if any program misses its expectation. Both sweeps fan out
-//! over `--workers N` threads (default: one per host core); any worker
-//! count produces the same manifest modulo `host_*` timing fields.
+//! over `--workers N` threads too; any worker count produces the same
+//! manifest modulo `host_*` timing fields.
 //! `--exec-model NAME` (coherent, non_coherent_wb, seq_cst_ref) switches
 //! the memory model the manifest entries execute under; the default is
 //! the coherent ground truth the goldens pin. `--opt-level LEVEL` (O0,
@@ -103,77 +108,57 @@ fn error_manifest(e: &hsm_core::PipelineError) -> Json {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = env::args().skip(1).collect();
-    let emit_json = args.iter().any(|a| a == "--json");
-    let check_sharing = args.iter().any(|a| a == "--check-sharing");
-    let host_timing = args.iter().any(|a| a == "--host-timing");
-    let predict = args.iter().any(|a| a == "--predict");
-    let mut timing_runs = 0usize;
-    if let Some(i) = args.iter().position(|a| a == "--timing-runs") {
-        let value = args.get(i + 1).and_then(|v| v.parse().ok());
-        let Some(value) = value else {
-            eprintln!("figures: --timing-runs needs a number");
-            return ExitCode::FAILURE;
-        };
-        timing_runs = value;
-        args.drain(i..=i + 1);
+    match run(env::args().skip(1).collect()) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Removes `flag VALUE` from `args` and returns the value; a flag without
+/// one is an error naming what it `needs`.
+fn take_value(args: &mut Vec<String>, flag: &str, needs: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .cloned()
+        .ok_or(format!("{flag} needs {needs}"))?;
+    args.drain(i..=i + 1);
+    Ok(Some(value))
+}
+
+/// Runs what the arguments select: `Err` for a bad command line or a
+/// failed `--client`/`--rows` sweep, `Ok(false)` when a check, section or
+/// artifact failed along the way.
+fn run(mut args: Vec<String>) -> Result<bool, String> {
+    let has = |args: &[String], flag: &str| args.iter().any(|a| a == flag);
+    let flags = ["--json", "--check-sharing", "--host-timing", "--predict"];
+    let [emit_json, check_sharing, host_timing, predict] = flags.map(|flag| has(&args, flag));
+    let timing_runs = match take_value(&mut args, "--timing-runs", "a number")? {
+        Some(value) => value.parse().map_err(|_| "--timing-runs needs a number")?,
+        None => 0,
+    };
     // The execution axes (--workers, --exec-model, --opt-level,
     // --cache-dir) all live in one SweepSpec — the value the manifest
     // consumes and a `--client` sweep job ships.
     let mut spec = hsm_core::spec::SweepSpec::default();
-    if let Err(e) = spec.take_cli_flags(&mut args) {
-        eprintln!("figures: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = spec.open_cache() {
-        eprintln!("figures: {e}");
-        return ExitCode::FAILURE;
-    }
-    let mut client_addr = None;
-    if let Some(i) = args.iter().position(|a| a == "--client") {
-        let Some(value) = args.get(i + 1).cloned() else {
-            eprintln!("figures: --client needs a server address");
-            return ExitCode::FAILURE;
-        };
-        client_addr = Some(value);
-        args.drain(i..=i + 1);
-    }
-    let mut rows_file = None;
-    if let Some(i) = args.iter().position(|a| a == "--rows") {
-        let Some(value) = args.get(i + 1).cloned() else {
-            eprintln!("figures: --rows needs an output file");
-            return ExitCode::FAILURE;
-        };
-        rows_file = Some(value);
-        args.drain(i..=i + 1);
-    }
-    let client_shutdown = args.iter().any(|a| a == "--shutdown");
-    args.retain(|a| {
-        a != "--json"
-            && a != "--check-sharing"
-            && a != "--host-timing"
-            && a != "--predict"
-            && a != "--shutdown"
-    });
+    spec.take_cli_flags(&mut args).map_err(|e| e.to_string())?;
+    spec.open_cache().map_err(|e| e.to_string())?;
+    let client_addr = take_value(&mut args, "--client", "a server address")?;
+    let rows_file = take_value(&mut args, "--rows", "an output file")?;
+    let client_shutdown = has(&args, "--shutdown");
+    args.retain(|a| a != "--shutdown" && !flags.contains(&a.as_str()));
 
     if let Some(addr) = client_addr {
-        return match run_client(&addr, &spec, rows_file.as_deref(), client_shutdown) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("figures: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return run_client(&addr, &spec, rows_file.as_deref(), client_shutdown).map(|()| true);
     }
     if let Some(path) = rows_file {
-        return match run_rows_local(&spec, &path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("figures: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return run_rows_local(&spec, &path).map(|()| true);
     }
     let workers = spec.workers;
     let all = args.is_empty() && !emit_json && !check_sharing && !host_timing && !predict;
@@ -182,20 +167,16 @@ fn main() -> ExitCode {
 
     let mut sharing_section = None;
     if check_sharing {
-        match hsm_bench::sharing::sharing_manifest_with(workers) {
+        failed |= failure(match hsm_bench::sharing::sharing_manifest_with(workers) {
             Ok(sharing) => {
                 print_sharing(&sharing);
-                if !hsm_bench::sharing::all_pass(&sharing) {
-                    eprintln!("sharing check FAILED: a program missed its expectation");
-                    failed = true;
-                }
+                let pass = hsm_bench::sharing::all_pass(&sharing);
                 sharing_section = Some(sharing);
+                let missed = "sharing check FAILED: a program missed its expectation";
+                pass.then_some(()).ok_or(missed.to_string())
             }
-            Err(e) => {
-                eprintln!("sharing check failed to run: {e}");
-                failed = true;
-            }
-        }
+            Err(e) => Err(format!("sharing check failed to run: {e}")),
+        });
     }
 
     if emit_json {
@@ -211,181 +192,54 @@ fn main() -> ExitCode {
                 m
             }
             Err(e) => {
-                eprintln!("manifest generation failed: {e}");
-                failed = true;
+                failed |= failure(Err(format!("manifest generation failed: {e}")));
                 error_manifest(&e)
             }
         };
-        if write_artifact(MANIFEST_FILE, &manifest.render()).is_err() {
-            failed = true;
-        }
+        failed |= failure(write_artifact(MANIFEST_FILE, &manifest.render()));
     }
 
     if predict {
-        match hsm_bench::predict::predict_report() {
+        failed |= failure(match hsm_bench::predict::predict_report() {
             Ok(report) => {
                 println!("{}", hsm_bench::predict::render_predict_table(&report));
-                if write_artifact(PREDICT_FILE, &report.render()).is_err() {
-                    failed = true;
-                }
+                write_artifact(PREDICT_FILE, &report.render())
             }
-            Err(e) => {
-                eprintln!("predict validation failed: {e}");
-                failed = true;
-            }
-        }
+            Err(e) => Err(format!("predict validation failed: {e}")),
+        });
     }
 
     if host_timing {
-        match hsm_bench::interp::interp_points(timing_runs) {
+        failed |= failure(match hsm_bench::interp::interp_points(timing_runs) {
             Ok(points) => {
                 println!("{}", hsm_bench::interp::render_interp_table(&points));
                 let doc = hsm_bench::interp::interp_json(&points);
-                if write_artifact(INTERP_FILE, &doc.render()).is_err() {
-                    failed = true;
-                }
+                write_artifact(INTERP_FILE, &doc.render())
             }
-            Err(e) => {
-                eprintln!("host-timing sweep failed: {e}");
-                failed = true;
-            }
-        }
+            Err(e) => Err(format!("host-timing sweep failed: {e}")),
+        });
     }
 
-    if want("table4.1") || want("table4.2") {
-        let (t41, t42) = hsm_bench::analysis_tables();
-        if want("table4.1") {
-            println!("Table 4.1 — information extracted per variable (Example Code 4.1)\n");
-            println!("{t41}");
-        }
-        if want("table4.2") {
-            println!("Table 4.2 — variable sharing status after each stage\n");
-            println!("{t42}");
-        }
-    }
+    // Every printed section, in order, over one de-duplicated sweep:
+    // each section prints as soon as the points it reads are done.
+    let plan = hsm_bench::Plan::new(hsm_bench::figure_sections(want, 1), workers);
+    plan.run(|section| failed |= failure(section.map(|text| print!("{text}"))));
 
-    if want("example4.2") {
-        println!("Example Code 4.2 — translated RCCE source\n");
-        println!("{}", hsm_bench::render_example_4_2());
-    }
-
-    if want("table6.1") {
-        println!("Table 6.1 — SCC configuration\n");
-        println!("{}", hsm_bench::render_table_6_1(hsm_bench::EVAL_UNITS));
-    }
-
-    if want("fig6.1") || want("fig6.2") {
-        match hsm_bench::run_evaluation(hsm_bench::EVAL_UNITS) {
-            Ok(results) => {
-                if want("fig6.1") {
-                    println!("{}", hsm_bench::render_fig_6_1(&results));
-                }
-                if want("fig6.2") {
-                    println!("{}", hsm_bench::render_fig_6_2(&results));
-                }
-            }
-            Err(e) => {
-                eprintln!("evaluation failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("fig6.3") {
-        match hsm_bench::fig_6_3(&[1, 2, 4, 8, 16, 32, 48]) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("figure 6.3 failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("ablation.mc") {
-        match hsm_bench::ablation_memory_controllers(hsm_bench::EVAL_UNITS) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("MC ablation failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("ablation.policy") {
-        println!("{}", hsm_bench::ablation_partition_policies());
-    }
-
-    if want("stream.kernels") {
-        match hsm_bench::stream_kernel_table(hsm_bench::EVAL_UNITS) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("stream kernels failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("ext.jacobi") {
-        match hsm_bench::jacobi_extension(&[4, 8, 16, 32]) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("jacobi extension failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("dvfs") {
-        match hsm_bench::dvfs_sweep(hsm_bench::EVAL_UNITS) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("dvfs sweep failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("energy") {
-        match hsm_bench::energy_comparison(hsm_bench::EVAL_UNITS) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("energy comparison failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if want("fig7.threads") {
-        match hsm_bench::thread_folding(&[48, 64, 96]) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("thread folding failed: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(!failed)
 }
 
-/// Writes a machine-readable artifact under `bench-out/`, creating the
-/// directory on demand (the create-on-demand behaviour itself lives in
-/// and is unit-tested by `hsm_bench::write_artifact`).
-fn write_artifact(path: &str, content: &str) -> Result<(), ()> {
-    match hsm_bench::write_artifact(path, content) {
-        Ok(()) => {
-            println!("wrote {path}");
-            Ok(())
-        }
-        Err(e) => {
-            eprintln!("writing {path} failed: {e}");
-            Err(())
-        }
-    }
+/// Prints a failed outcome's message to stderr; true if it failed.
+fn failure(outcome: Result<(), String>) -> bool {
+    outcome.map_err(|e| eprintln!("{e}")).is_err()
+}
+
+/// Writes a machine-readable artifact, creating its directory on demand
+/// (the create-on-demand behaviour itself lives in and is unit-tested by
+/// `hsm_bench::write_artifact`).
+fn write_artifact(path: &str, content: &str) -> Result<(), String> {
+    hsm_bench::write_artifact(path, content)
+        .map(|()| println!("wrote {path}"))
+        .map_err(|e| format!("writing {path} failed: {e}"))
 }
 
 /// Fills an empty program list with the manifest corpus, so `--client`
@@ -413,15 +267,7 @@ fn write_rows(path: &str, rows: &[hsm_core::api::SweepRow]) -> Result<(), String
         .collect::<Vec<_>>()
         .join("\n");
     doc.push('\n');
-    write_artifact_at(path, &doc)
-}
-
-/// [`write_artifact`] without the `bench-out/` convention baked into the
-/// caller's constants: `--rows` takes an explicit destination.
-fn write_artifact_at(path: &str, content: &str) -> Result<(), String> {
-    hsm_bench::write_artifact(path, content)
-        .map(|()| println!("wrote {path}"))
-        .map_err(|e| format!("writing {path} failed: {e}"))
+    write_artifact(path, &doc)
 }
 
 /// Runs the spec's sweep in this process and writes the row file —
@@ -498,8 +344,7 @@ fn run_client(
 }
 
 /// Prints the sharing-oracle verdict table for `--check-sharing`.
-fn print_sharing(sharing: &hsm_bench::json::Json) {
-    use hsm_bench::json::Json;
+fn print_sharing(sharing: &Json) {
     println!("Sharing-soundness oracle — corpus sweep\n");
     println!(
         "{:<30}{:>14}{:>14}{:>8}",
@@ -510,25 +355,15 @@ fn print_sharing(sharing: &hsm_bench::json::Json) {
         return;
     };
     for entry in entries {
-        let name = match entry.get("name") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => "?".to_string(),
-        };
-        let expected = match entry.get("expected") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => "?".to_string(),
-        };
+        let field = |key| entry.get(key).and_then(Json::as_str).unwrap_or("?");
         let observed = match entry.get("violations") {
             Some(Json::Arr(vs)) if vs.is_empty() => "clean".to_string(),
             Some(Json::Arr(vs)) => {
-                let mut classes: Vec<String> = vs
+                let mut classes: Vec<&str> = vs
                     .iter()
-                    .filter_map(|v| match v.get("class") {
-                        Some(Json::Str(c)) => Some(c.clone()),
-                        _ => None,
-                    })
+                    .filter_map(|v| v.get("class").and_then(Json::as_str))
                     .collect();
-                classes.sort();
+                classes.sort_unstable();
                 classes.dedup();
                 classes.join("+")
             }
@@ -537,8 +372,8 @@ fn print_sharing(sharing: &hsm_bench::json::Json) {
         let pass = entry.get("pass") == Some(&Json::Bool(true));
         println!(
             "{:<30}{:>14}{:>14}{:>8}",
-            name,
-            expected,
+            field("name"),
+            field("expected"),
             observed,
             if pass { "ok" } else { "FAIL" }
         );

@@ -46,6 +46,7 @@ use hsm_cir::TranslationUnit;
 use hsm_partition::{MemorySpec, PartitionPlan, Policy};
 use hsm_translate::Translation;
 use hsm_vm::OptLevel;
+use scc_sim::SccConfig;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -55,6 +56,17 @@ use std::sync::{Arc, Mutex};
 /// FNV-1a hash of a program source — the first component of every key.
 pub fn source_hash(src: &str) -> u64 {
     crate::store::fnv1a_bytes(src.as_bytes())
+}
+
+/// The `src` component of an [`ArtifactKey::Profile`]: the program's
+/// [`source_hash`] combined with a fingerprint of the simulated chip.
+/// A profile depends on every [`SccConfig`] field (clock, memory
+/// controllers, latencies), which no other key carries; the fingerprint
+/// is the FNV-1a hash of the config's derived `Debug` form, so it covers
+/// every field, including ones added later.
+pub fn run_hash(src: u64, config: &SccConfig) -> u64 {
+    let chip = format!("{src:016x} {config:?}");
+    crate::store::fnv1a_bytes(chip.as_bytes())
 }
 
 /// The key of any cached artifact: one documented enum covering all five
@@ -129,9 +141,10 @@ pub enum ArtifactKey {
     /// compile-side artifacts, a profile depends on *everything* that
     /// selects the run — including the full [`Scenario`](crate::Scenario),
     /// because the execution model changes what the run observes even
-    /// though it changes no compiled artifact.
+    /// though it changes no compiled artifact, and the simulated chip.
     Profile {
-        /// [`source_hash`] of the program.
+        /// [`run_hash`] of the program's [`source_hash`] and the
+        /// simulated chip.
         src: u64,
         /// Simulated core count.
         cores: usize,

@@ -224,6 +224,21 @@ pub mod experiment {
     }
 
     impl BenchResult {
+        /// One benchmark's baseline, off-chip and HSM runs, with the
+        /// cross-check of their outputs and exit codes.
+        pub fn new(bench: Bench, base: &RunResult, off: &RunResult, hsm: &RunResult) -> Self {
+            BenchResult {
+                bench,
+                pthread_cycles: base.timed_cycles,
+                offchip_cycles: off.timed_cycles,
+                hsm_cycles: hsm.timed_cycles,
+                outputs_match: outputs_equivalent(base, off)
+                    && outputs_equivalent(base, hsm)
+                    && base.exit_code == off.exit_code
+                    && base.exit_code == hsm.exit_code,
+            }
+        }
+
         /// Figure 6.1's y-axis: baseline time / off-chip RCCE time.
         pub fn offchip_speedup(&self) -> f64 {
             self.pthread_cycles as f64 / self.offchip_cycles.max(1) as f64
@@ -238,11 +253,6 @@ pub mod experiment {
         pub fn hsm_speedup(&self) -> f64 {
             self.pthread_cycles as f64 / self.hsm_cycles.max(1) as f64
         }
-    }
-
-    /// Unwraps a run payload out of a sweep outcome.
-    fn into_run(outcome: SweepOutcome) -> Result<RunResult, PipelineError> {
-        outcome.into_run()
     }
 
     /// Runs one benchmark in all three modes — through one shared-cache
@@ -279,20 +289,10 @@ pub mod experiment {
             );
         let report = sweep(&matrix);
         let mut outcomes = report.outcomes.into_iter();
-        let base = into_run(outcomes.next().expect("baseline point"))?;
-        let off = into_run(outcomes.next().expect("offchip point"))?;
-        let hsm = into_run(outcomes.next().expect("hsm point"))?;
-        let outputs_match = outputs_equivalent(&base, &off)
-            && outputs_equivalent(&base, &hsm)
-            && base.exit_code == off.exit_code
-            && base.exit_code == hsm.exit_code;
-        Ok(BenchResult {
-            bench,
-            pthread_cycles: base.timed_cycles,
-            offchip_cycles: off.timed_cycles,
-            hsm_cycles: hsm.timed_cycles,
-            outputs_match,
-        })
+        let base = outcomes.next().expect("baseline point").into_run()?;
+        let off = outcomes.next().expect("offchip point").into_run()?;
+        let hsm = outcomes.next().expect("hsm point").into_run()?;
+        Ok(BenchResult::new(bench, &base, &off, &hsm))
     }
 
     /// Compares program outputs as deduplicated sorted line sets: the
@@ -305,37 +305,6 @@ pub mod experiment {
         la.dedup();
         lb.dedup();
         la == lb
-    }
-
-    /// Figure 6.3: Pi Approximation speedup over the baseline at several
-    /// core counts, swept in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    pub fn core_scaling(
-        bench: Bench,
-        core_counts: &[usize],
-        config: &SccConfig,
-    ) -> Result<Vec<(usize, f64)>, PipelineError> {
-        let matrix = SweepMatrix::core_scaling(
-            bench,
-            &[Mode::PthreadBaseline, Mode::RcceHsm],
-            core_counts,
-            config.clone(),
-        );
-        let report = sweep(&matrix);
-        let mut outcomes = report.outcomes.into_iter();
-        let mut out = Vec::new();
-        for &cores in core_counts {
-            let base = into_run(outcomes.next().expect("baseline point"))?;
-            let hsm = into_run(outcomes.next().expect("hsm point"))?;
-            out.push((
-                cores,
-                base.timed_cycles as f64 / hsm.timed_cycles.max(1) as f64,
-            ));
-        }
-        Ok(out)
     }
 }
 

@@ -34,7 +34,7 @@
 //! produces, so a multi-model sweep of one benchmark still parses,
 //! analyzes, translates and compiles exactly once.
 
-use crate::cache::{source_hash, ArtifactCache, ArtifactKey};
+use crate::cache::{run_hash, source_hash, ArtifactCache, ArtifactKey};
 use crate::metrics::PipelineMetrics;
 use crate::scenario::{Mode, Scenario};
 use crate::{PipelineError, SharingCheck};
@@ -198,7 +198,7 @@ impl Pipeline {
 
     fn profile_key(&self) -> ArtifactKey {
         ArtifactKey::Profile {
-            src: self.src_hash,
+            src: run_hash(self.src_hash, &self.config),
             cores: self.cores,
             policy: self.policy,
             spec: self.effective_spec(),
@@ -442,9 +442,10 @@ impl Pipeline {
     }
 
     /// The run profile for the configured scenario (memoized per source
-    /// × cores × policy × spec × scenario). A cache hit — in memory or
-    /// through the persistent store — skips simulation entirely; a miss
-    /// simulates once via the mode-matched profiled entry point.
+    /// × chip × cores × policy × spec × scenario). A cache hit — in
+    /// memory or through the persistent store — skips simulation
+    /// entirely; a miss simulates once via the mode-matched profiled
+    /// entry point.
     ///
     /// # Errors
     ///
@@ -817,5 +818,30 @@ int main() {
         assert_eq!(hsm.exit_code, base.exit_code);
         assert!(base.active_cores() <= hsm.active_cores());
         assert_eq!(p.cache_handle().stats().profile.misses, 2);
+    }
+
+    /// Two sessions over one cache that differ only in the simulated chip
+    /// must not share a profile: with one memory controller instead of
+    /// four, off-chip Dot Product queues longer and runs slower.
+    #[test]
+    fn profile_keys_distinguish_chips() {
+        let mut params = hsm_workloads::Bench::DotProduct.default_params(8);
+        params.size = 256;
+        let src = hsm_workloads::source(hsm_workloads::Bench::DotProduct, &params);
+        let four = Pipeline::new(src)
+            .cores(8)
+            .scenario(Scenario::new(Mode::RcceOffChip));
+        let mut one_mc = SccConfig::table_6_1();
+        one_mc.memory_controllers = 1;
+        let one = four.clone().config(one_mc);
+        let p4 = four.profile().expect("4-MC profile");
+        let p1 = one.profile().expect("1-MC profile");
+        assert!(
+            p1.total_cycles > p4.total_cycles,
+            "1 MC ({}) must be slower than 4 ({})",
+            p1.total_cycles,
+            p4.total_cycles
+        );
+        assert_eq!(four.cache_handle().stats().profile.misses, 2);
     }
 }

@@ -15,7 +15,7 @@
 //! inputs, and the cache's pending-slot discipline keeps even the
 //! hit/miss counters schedule-independent.
 
-use crate::cache::{source_hash, ArtifactCache, CacheStats};
+use crate::cache::{run_hash, source_hash, ArtifactCache, CacheStats};
 use crate::metrics::PipelineMetrics;
 use crate::scenario::{Mode, Scenario};
 use crate::{Pipeline, PipelineError, Policy, SharingCheck};
@@ -87,6 +87,9 @@ pub struct SweepPoint {
     /// Extra cache-hot re-runs to time after the point completes
     /// (0 = none). Feeds the manifest's `host_timing` block.
     pub timing_runs: usize,
+    /// The simulated chip, when it differs from the matrix's
+    /// [`SweepMatrix::config`] (a frequency or memory-controller sweep).
+    pub config: Option<SccConfig>,
 }
 
 /// A benchmark × mode × core-count matrix plus execution knobs.
@@ -94,7 +97,7 @@ pub struct SweepPoint {
 pub struct SweepMatrix {
     /// The points to execute, in report order.
     pub points: Vec<SweepPoint>,
-    /// The simulated chip every point runs on.
+    /// The simulated chip of every point that does not carry its own.
     pub config: SccConfig,
     /// Worker threads (0 = one per available host core).
     pub workers: usize,
@@ -157,8 +160,24 @@ impl SweepMatrix {
             cores,
             policy: task.default_policy(),
             timing_runs,
+            config: None,
         });
         self
+    }
+
+    /// Runs the most recently appended point on `config` instead of the
+    /// matrix's chip. No-op on an empty matrix.
+    #[must_use]
+    pub fn point_config(mut self, config: SccConfig) -> Self {
+        if let Some(point) = self.points.last_mut() {
+            point.config = Some(config);
+        }
+        self
+    }
+
+    /// The chip `point` runs on: its own, or the matrix's.
+    pub fn chip<'a>(&'a self, point: &'a SweepPoint) -> &'a SccConfig {
+        point.config.as_ref().unwrap_or(&self.config)
     }
 
     /// Replaces the scenario of the most recently appended point (and
@@ -454,7 +473,8 @@ pub struct SweepOptions<'a> {
     /// manifest rows to its client from here.
     pub on_row: Option<RowHook<'a>>,
     /// Predict-first triage: instead of simulating every point, group
-    /// the plain run points by (source, scenario, policy), simulate only
+    /// the plain run points by (source × chip, scenario, policy),
+    /// simulate only
     /// each group's smallest-core **seed** (profiled, so its
     /// [`Profile`](hsm_exec::Profile) lands in the cache) and its
     /// farthest-extrapolated **validation** point (ground truth for the
@@ -529,7 +549,7 @@ pub fn sweep_with(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepReport {
                         predicted: None,
                     }
                 } else {
-                    run_point(point, &matrix.config, &cache)
+                    run_point(point, matrix.chip(point), &cache)
                 };
                 *slots[i].lock().expect("result slot") = Some(outcome);
                 if let Some(on_row) = opts.on_row {
@@ -588,8 +608,9 @@ pub fn fit_options_for(scenario: Scenario) -> FitOptions {
     }
 }
 
-/// A point's prediction-group key: same program, same scenario, same
-/// policy — only the core count varies along the predicted surface.
+/// A point's prediction-group key: same program on the same chip
+/// ([`run_hash`]), same scenario, same policy — only the core count
+/// varies along the predicted surface.
 type GroupKey = (u64, Scenario, Policy);
 
 /// The predict-first engine behind [`SweepOptions::predict_first`].
@@ -615,13 +636,15 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
         predicted: None,
     };
 
-    // Group the plain, untimed run points by (source, scenario, policy).
+    // Group the plain, untimed run points by (source × chip, scenario,
+    // policy).
     let mut groups: HashMap<GroupKey, Vec<usize>> = HashMap::new();
     for (i, point) in matrix.points.iter().enumerate() {
         if let SweepTask::Run(scenario) = point.task {
             if point.timing_runs == 0 {
+                let program = run_hash(source_hash(&point.src), matrix.chip(point));
                 groups
-                    .entry((source_hash(&point.src), scenario, point.policy))
+                    .entry((program, scenario, point.policy))
                     .or_default()
                     .push(i);
             }
@@ -646,7 +669,8 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
             }
             continue;
         }
-        let (mut seed_outcome, profile) = run_point_profiled(seed_point, &matrix.config, &cache);
+        let seed_config = matrix.chip(seed_point);
+        let (mut seed_outcome, profile) = run_point_profiled(seed_point, seed_config, &cache);
         let Some(profile) = profile else {
             // The seed failed; nothing to fit. Record the failure and
             // let the rest of the group fall through to full simulation.
@@ -656,7 +680,7 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
         let predictor = CyclePredictor::fit(
             &profile,
             seed_point.cores,
-            &matrix.config,
+            seed_config,
             fit_options_for(scenario),
         );
         seed_outcome.predicted = Some(Prediction {
@@ -694,7 +718,7 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
                 if is_cancelled() {
                     cancel_outcome(point)
                 } else {
-                    let mut outcome = run_point(point, &matrix.config, &cache);
+                    let mut outcome = run_point(point, matrix.chip(point), &cache);
                     outcome.predicted = Some(prediction);
                     outcome
                 }
@@ -719,7 +743,7 @@ fn sweep_predict_first(matrix: &SweepMatrix, opts: SweepOptions<'_>) -> SweepRep
             outcomes[i] = Some(if is_cancelled() {
                 cancel_outcome(point)
             } else {
-                run_point(point, &matrix.config, &cache)
+                run_point(point, matrix.chip(point), &cache)
             });
         }
     }
@@ -954,6 +978,53 @@ mod tests {
             },
         );
         assert_eq!(report.cache.profile.misses, 1, "one profiled seed run");
+    }
+
+    /// A point's own chip overrides the matrix's, in plain sweeps and in
+    /// predict-first ones (whose groups split by chip, so each chip's
+    /// seed is fitted on that chip).
+    #[test]
+    fn points_run_on_their_own_chip() {
+        let mut params = Bench::DotProduct.default_params(8);
+        params.size = 256;
+        let src: Arc<str> = hsm_workloads::source(Bench::DotProduct, &params).into();
+        let mut one_mc = SccConfig::table_6_1();
+        one_mc.memory_controllers = 1;
+        let mut matrix = SweepMatrix::new(SccConfig::table_6_1()).workers(2);
+        for (mcs, chip) in [(4, SccConfig::table_6_1()), (1, one_mc.clone())] {
+            for cores in [2usize, 4, 8] {
+                matrix = matrix
+                    .point(
+                        format!("dot@{cores}/mc{mcs}"),
+                        Arc::clone(&src),
+                        SweepTask::Run(Mode::RcceOffChip.into()),
+                        cores,
+                    )
+                    .point_config(chip.clone());
+            }
+        }
+        let plain = sweep(&matrix);
+        let direct = Pipeline::new(Arc::clone(&src))
+            .cores(8)
+            .scenario(Mode::RcceOffChip.into())
+            .config(one_mc)
+            .run()
+            .expect("direct run");
+        assert_eq!(cycles(&plain)[5], direct.timed_cycles);
+        assert!(cycles(&plain)[5] > cycles(&plain)[2], "1 MC is slower");
+        let predicted = sweep_with(
+            &matrix,
+            SweepOptions {
+                predict_first: true,
+                ..SweepOptions::default()
+            },
+        );
+        assert_eq!(predicted.cache.profile.misses, 2, "one seed per chip");
+        for i in [0, 3] {
+            let seed = predicted.outcomes[i].result.as_ref().expect("seed ran");
+            let seed = seed.run_result().expect("seed simulated");
+            assert_eq!(seed.timed_cycles, cycles(&plain)[i], "seed {i}");
+        }
     }
 
     #[test]
