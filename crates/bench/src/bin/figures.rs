@@ -220,10 +220,13 @@ fn run(mut args: Vec<String>) -> Result<bool, String> {
         });
     }
 
-    // Every printed section, in order, over one de-duplicated sweep:
-    // each section prints as soon as the points it reads are done.
-    let plan = hsm_bench::Plan::new(hsm_bench::figure_sections(want, 1), workers);
-    plan.run(|section| failed |= failure(section.map(|text| print!("{text}"))));
+    // The tables print before the figures are planned; the figures run
+    // as one de-duplicated sweep, each printing once its points are done.
+    let mut print = |section: Result<String, String>| {
+        failed |= failure(section.map(|text| print!("{text}")));
+    };
+    hsm_bench::Plan::new(hsm_bench::table_sections(want), workers).run(&mut print);
+    hsm_bench::Plan::new(hsm_bench::figure_sections(want, 1), workers).run(&mut print);
 
     Ok(!failed)
 }

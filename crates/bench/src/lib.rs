@@ -157,17 +157,19 @@ impl Section {
         Section::new("", Vec::new(), move |_| format!("{title}\n\n{}\n", body()))
     }
 
-    /// A titled table with one row per item, each rendered by `row` from
-    /// the item's runs, then `footer`.
+    /// A [`header`]ed table with one row per item, each rendered by `row`
+    /// from the item's runs, then `footer`.
     fn table<T: Send + Sync + 'static>(
         failure: &'static str,
-        head: String,
+        title: &str,
+        columns: &[(&str, usize)],
         items: impl IntoIterator<Item = (T, Vec<PointRequest>)>,
         row: impl Fn(&T, &[&RunResult]) -> String + Send + Sync + 'static,
         footer: &'static str,
     ) -> Self {
         let (keys, requests): (Vec<T>, Vec<_>) = items.into_iter().unzip();
         let per_row = requests.first().map_or(1, Vec::len);
+        let head = header(title, columns);
         Section::new(failure, requests.concat(), move |runs| {
             let rows = keys.iter().zip(runs.chunks(per_row));
             let rows: String = rows.map(|(key, runs)| row(key, runs) + "\n").collect();
@@ -263,28 +265,35 @@ impl Plan {
     }
 }
 
-/// Every section the selector `want` picks, in printed order. `shrink`
-/// divides the simulated problem sizes: 1 is the paper's scale, larger
-/// values give the same plan shape for fast tests.
+/// The tables the selector `want` picks: they simulate nothing and print
+/// before any figure, so `figures` shows them before it plans the sweep.
+pub fn table_sections(want: impl Fn(&str) -> bool) -> Vec<Section> {
+    let mut out = Vec::new();
+    if want("table4.1") {
+        let title = "Table 4.1 — information extracted per variable (Example Code 4.1)";
+        out.push(Section::fixed(title, || analysis_tables().0));
+    }
+    if want("table4.2") {
+        let title = "Table 4.2 — variable sharing status after each stage";
+        out.push(Section::fixed(title, || analysis_tables().1));
+    }
+    if want("example4.2") {
+        let title = "Example Code 4.2 — translated RCCE source";
+        out.push(Section::fixed(title, render_example_4_2));
+    }
+    if want("table6.1") {
+        let body = || render_table_6_1(EVAL_UNITS);
+        out.push(Section::fixed("Table 6.1 — SCC configuration", body));
+    }
+    out
+}
+
+/// Every figure section the selector `want` picks, in printed order.
+/// `shrink` divides the simulated problem sizes: 1 is the paper's scale,
+/// larger values give the same plan shape for fast tests.
 pub fn figure_sections(want: impl Fn(&str) -> bool, shrink: usize) -> Vec<Section> {
     let (fig61, fig62) = (want("fig6.1"), want("fig6.2"));
-    let sections: [(bool, &dyn Fn() -> Section); 13] = [
-        (want("table4.1"), &|| {
-            let title = "Table 4.1 — information extracted per variable (Example Code 4.1)";
-            Section::fixed(title, || analysis_tables().0)
-        }),
-        (want("table4.2"), &|| {
-            let title = "Table 4.2 — variable sharing status after each stage";
-            Section::fixed(title, || analysis_tables().1)
-        }),
-        (want("example4.2"), &|| {
-            let title = "Example Code 4.2 — translated RCCE source";
-            Section::fixed(title, render_example_4_2)
-        }),
-        (want("table6.1"), &|| {
-            let title = "Table 6.1 — SCC configuration";
-            Section::fixed(title, || render_table_6_1(EVAL_UNITS))
-        }),
+    let sections: [(bool, &dyn Fn() -> Section); 9] = [
         (fig61 || fig62, &|| evaluation(fig61, fig62, shrink)),
         (want("fig6.3"), &|| core_scaling(shrink)),
         (want("ablation.mc"), &|| memory_controllers(shrink)),
@@ -325,12 +334,10 @@ fn speedup(base: &RunResult, other: &RunResult) -> f64 {
 /// A section's title, a blank line, then its column headings (the first
 /// left-aligned, the rest right-aligned) over a rule as wide as they are.
 fn header(title: &str, columns: &[(&str, usize)]) -> String {
-    let mut out = format!("{title}\n\n");
-    for (i, &(name, width)) in columns.iter().enumerate() {
-        let _ = match i {
-            0 => write!(out, "{name:<width$}"),
-            _ => write!(out, "{name:>width$}"),
-        };
+    let (&(first, width), rest) = columns.split_first().expect("a first column");
+    let mut out = format!("{title}\n\n{first:<width$}");
+    for &(name, width) in rest {
+        let _ = write!(out, "{name:>width$}");
     }
     let rule = columns.iter().map(|&(_, width)| width).sum();
     out + "\n" + &"-".repeat(rule) + "\n"
@@ -405,11 +412,9 @@ fn core_scaling(shrink: usize) -> Section {
     });
     Section::table(
         "figure 6.3 failed",
-        header(
-            "Figure 6.3 — Pi Approximation speedup over the single-core pthread\n\
-             baseline at increasing core counts",
-            &[("Cores", 10), ("Speedup", 12)],
-        ),
+        "Figure 6.3 — Pi Approximation speedup over the single-core pthread\n\
+         baseline at increasing core counts",
+        &[("Cores", 10), ("Speedup", 12)],
         items,
         |cores, r| format!("{:<10}{:>10.1}x", cores, speedup(r[0], r[1])),
         "",
@@ -457,15 +462,13 @@ fn stream_kernels(shrink: usize) -> Section {
     let freq_hz = f64::from(SccConfig::table_6_1().core_freq_mhz) * 1e6;
     Section::table(
         "stream kernels failed",
-        header(
-            "Stream kernels — effective bandwidth (MB/s, simulated)",
-            &[
-                ("Kernel", 8),
-                ("Pthread 1-core", 16),
-                ("RCCE off-chip", 16),
-                ("RCCE MPB", 16),
-            ],
-        ),
+        "Stream kernels — effective bandwidth (MB/s, simulated)",
+        &[
+            ("Kernel", 8),
+            ("Pthread 1-core", 16),
+            ("RCCE off-chip", 16),
+            ("RCCE MPB", 16),
+        ],
         items,
         move |kernel, r| {
             let bytes = (kernel.bytes_per_elem() * params.size * params.reps) as f64;
@@ -490,10 +493,8 @@ fn jacobi(shrink: usize) -> Section {
     });
     Section::table(
         "jacobi extension failed",
-        header(
-            "Extension — Jacobi 1-D heat diffusion (in-worker barriers)",
-            &[("Cores", 10), ("Speedup", 12), ("Imbalance", 14)],
-        ),
+        "Extension — Jacobi 1-D heat diffusion (in-worker barriers)",
+        &[("Cores", 10), ("Speedup", 12), ("Imbalance", 14)],
         items,
         |cores, r| {
             let (speedup, imbalance) = (speedup(r[0], r[1]), r[1].imbalance());
@@ -520,14 +521,12 @@ fn dvfs(shrink: usize) -> Section {
     });
     Section::table(
         "dvfs sweep failed",
-        header(
-            "DVFS sweep — simulated run time (ms) of the HSM configuration",
-            &[
-                ("Core MHz", 12),
-                ("Pi (compute)", 16),
-                ("Stream (memory)", 16),
-            ],
-        ),
+        "DVFS sweep — simulated run time (ms) of the HSM configuration",
+        &[
+            ("Core MHz", 12),
+            ("Pi (compute)", 16),
+            ("Stream (memory)", 16),
+        ],
         items,
         |mhz, r| {
             let ms = |run: &RunResult| run.timed_cycles as f64 / (f64::from(*mhz) * 1e6) * 1e3;
@@ -550,15 +549,13 @@ fn energy(shrink: usize) -> Section {
     );
     Section::table(
         "energy comparison failed",
-        header(
-            "Energy estimate at the Table 6.1 operating point (full chip powered)",
-            &[
-                ("Benchmark", 18),
-                ("Baseline (mJ)", 16),
-                ("HSM (mJ)", 14),
-                ("Saved", 12),
-            ],
-        ),
+        "Energy estimate at the Table 6.1 operating point (full chip powered)",
+        &[
+            ("Benchmark", 18),
+            ("Baseline (mJ)", 16),
+            ("HSM (mJ)", 14),
+            ("Saved", 12),
+        ],
         items,
         move |bench, r| {
             let mj = |run: &RunResult| model.energy_joules(run.timed_cycles, mhz) * 1e3;
@@ -587,10 +584,8 @@ fn thread_folding(shrink: usize) -> Section {
     });
     Section::table(
         "thread folding failed",
-        header(
-            "§7.2 extension — Pi with more threads than cores (folded onto 48)",
-            &[("Threads", 10), ("Cores", 10), ("Speedup", 12)],
-        ),
+        "§7.2 extension — Pi with more threads than cores (folded onto 48)",
+        &[("Threads", 10), ("Cores", 10), ("Speedup", 12)],
         items,
         move |&threads, r| {
             let speedup = speedup(r[0], r[1]);
@@ -672,8 +667,8 @@ mod tests {
         let plan = Plan::new(figure_sections(|_| true, 1), 0);
         assert_eq!(plan.rows.iter().map(Vec::len).sum::<usize>(), 75);
         assert_eq!(plan.matrix.points.len(), 62);
-        let [_, _, _, _, eval, fig63, mc, _, _, _, dvfs, energy, fig7] = &plan.rows[..] else {
-            panic!("13 sections, got {}", plan.rows.len());
+        let [eval, fig63, mc, _, _, _, dvfs, energy, fig7] = &plan.rows[..] else {
+            panic!("9 sections, got {}", plan.rows.len());
         };
         assert_eq!(eval, &(0..18).collect::<Vec<_>>(), "Fig. 6.1 goes first");
         let fig61 = |bench: Bench, mode: usize| {
@@ -725,10 +720,10 @@ mod tests {
         let serial = render(&Plan::new(sections(), 1));
         assert_eq!(serial, render(&Plan::new(sections(), 2)));
         let titles = [
-            "Table 4.1",
             "Figure 6.1",
             "Figure 6.2",
             "Figure 6.3",
+            "Ablation — partition",
             "§7.2",
         ];
         let at: Vec<usize> = titles.iter().map(|t| serial.find(t).expect(t)).collect();

@@ -916,6 +916,23 @@ mod tests {
         );
     }
 
+    /// A profile's key fingerprints the simulated chip: the same program
+    /// on another chip is another entry, and the Table 6.1 chip's
+    /// fingerprint is pinned, since it is part of the on-disk path.
+    #[test]
+    fn profile_keys_fingerprint_the_chip() {
+        let table = SccConfig::table_6_1();
+        let mut one_mc = table.clone();
+        one_mc.memory_controllers = 1;
+        assert_eq!(run_hash(0xabcd, &table), run_hash(0xabcd, &table.clone()));
+        assert_ne!(run_hash(0xabcd, &table), run_hash(0xabcd, &one_mc));
+        assert_ne!(run_hash(0xabcd, &table), run_hash(0xabce, &table));
+        assert_eq!(
+            format!("{:016x}", run_hash(0xabcd, &table)),
+            "72ec91739c765859"
+        );
+    }
+
     #[test]
     fn stats_without_store_have_no_store_block() {
         let cache = ArtifactCache::shared();

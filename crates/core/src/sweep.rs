@@ -176,7 +176,7 @@ impl SweepMatrix {
     }
 
     /// The chip `point` runs on: its own, or the matrix's.
-    pub fn chip<'a>(&'a self, point: &'a SweepPoint) -> &'a SccConfig {
+    fn chip<'a>(&'a self, point: &'a SweepPoint) -> &'a SccConfig {
         point.config.as_ref().unwrap_or(&self.config)
     }
 
@@ -474,8 +474,7 @@ pub struct SweepOptions<'a> {
     pub on_row: Option<RowHook<'a>>,
     /// Predict-first triage: instead of simulating every point, group
     /// the plain run points by (source × chip, scenario, policy),
-    /// simulate only
-    /// each group's smallest-core **seed** (profiled, so its
+    /// simulate only each group's smallest-core **seed** (profiled, so its
     /// [`Profile`](hsm_exec::Profile) lands in the cache) and its
     /// farthest-extrapolated **validation** point (ground truth for the
     /// error bound), and satisfy the rest analytically with a fitted
