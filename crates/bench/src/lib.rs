@@ -730,6 +730,28 @@ mod tests {
         assert!(at.windows(2).all(|w| w[0] < w[1]), "sections in order");
     }
 
+    /// A failing point turns its section into one error line naming the
+    /// section; the sections around it still print.
+    #[test]
+    fn a_failing_section_reports_and_the_rest_print() {
+        let bad = points("int main( {", 2, &[Mode::RcceHsm]);
+        let sections = vec![
+            Section::fixed("before", || "a".into()),
+            Section::new("broken section failed", bad, |_| unreachable!()),
+            Section::fixed("after", || "b".into()),
+        ];
+        let mut emitted = Vec::new();
+        Plan::new(sections, 2).run(|section| emitted.push(section));
+        assert_eq!(emitted.len(), 3);
+        assert_eq!(emitted[0].as_deref(), Ok("before\n\na\n"));
+        let line = emitted[1].as_ref().unwrap_err();
+        assert!(
+            line.starts_with("broken section failed: parse stage: "),
+            "{line}"
+        );
+        assert_eq!(emitted[2].as_deref(), Ok("after\n\nb\n"));
+    }
+
     #[test]
     fn write_artifact_creates_missing_output_directories() {
         let root = std::env::temp_dir().join(format!("hsm-bench-out-{}", std::process::id()));
