@@ -543,10 +543,7 @@ fn energy(shrink: usize) -> Section {
     let items = [Bench::PiApprox, Bench::Stream, Bench::DotProduct]
         .map(|bench| (bench, bench_points(bench, EVAL_UNITS, shrink, &BASE_HSM)));
     let config = SccConfig::table_6_1();
-    let (model, mhz) = (
-        PowerModel::new(config.mesh_cols * config.mesh_rows),
-        config.core_freq_mhz,
-    );
+    let model = PowerModel::new(config.mesh_cols * config.mesh_rows);
     Section::table(
         "energy comparison failed",
         "Energy estimate at the Table 6.1 operating point (full chip powered)",
@@ -558,7 +555,8 @@ fn energy(shrink: usize) -> Section {
         ],
         items,
         move |bench, r| {
-            let mj = |run: &RunResult| model.energy_joules(run.timed_cycles, mhz) * 1e3;
+            let mj =
+                |run: &RunResult| model.energy_joules(run.timed_cycles, config.core_freq_mhz) * 1e3;
             let (base, hsm) = (mj(r[0]), mj(r[1]));
             format!(
                 "{:<18}{base:>16.2}{hsm:>14.2}{:>11.1}x",
