@@ -26,12 +26,12 @@ use crate::{ArtifactCache, Pipeline, PipelineError};
 use scc_sim::SccConfig;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often blocked reads and the accept loop re-check the stop flag.
+/// How often blocked connection reads re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Job-server configuration.
@@ -61,13 +61,20 @@ impl Default for ServerOptions {
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
+    /// Where a wake-up connection reaches the listener.
+    wake: SocketAddr,
 }
 
 impl ServerHandle {
     /// Asks the server to stop accepting connections and return from
     /// [`Server::run`] once active connections drain.
+    ///
+    /// The accept loop blocks in `accept`, so after raising the flag this
+    /// connects to the server once to wake it. A failed connect means
+    /// nothing is listening any more, which is the goal.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake);
     }
 }
 
@@ -96,7 +103,6 @@ impl Server {
     /// Propagates bind and store-directory failures.
     pub fn bind(addr: &str, options: ServerOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let cache = match &options.cache_dir {
             Some(dir) => ArtifactCache::persistent(dir)?,
@@ -123,8 +129,17 @@ impl Server {
 
     /// A handle that stops this server from another thread.
     pub fn handle(&self) -> ServerHandle {
+        // A wildcard bind is reachable through loopback of the same family.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         ServerHandle {
             stop: Arc::clone(&self.stop),
+            wake,
         }
     }
 
@@ -133,24 +148,22 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O failures (refused polls are retried).
+    /// Propagates accept-loop I/O failures.
     pub fn run(self) -> io::Result<()> {
+        let handle = self.handle();
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let cache = Arc::clone(&self.cache);
-                    let options = self.options.clone();
-                    let stop = Arc::clone(&self.stop);
-                    workers.push(std::thread::spawn(move || {
-                        serve_connection(stream, &cache, &options, &stop);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) => return Err(e),
+        loop {
+            let (stream, _) = self.listener.accept()?;
+            // A stop raises the flag before its wake-up connection lands.
+            if self.stop.load(Ordering::SeqCst) {
+                break;
             }
+            let cache = Arc::clone(&self.cache);
+            let options = self.options.clone();
+            let handle = handle.clone();
+            workers.push(std::thread::spawn(move || {
+                serve_connection(stream, &cache, &options, &handle);
+            }));
             workers.retain(|w| !w.is_finished());
         }
         for worker in workers {
@@ -176,7 +189,7 @@ fn serve_connection(
     stream: TcpStream,
     cache: &Arc<ArtifactCache>,
     options: &ServerOptions,
-    stop: &Arc<AtomicBool>,
+    handle: &ServerHandle,
 ) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let writer = match stream.try_clone() {
@@ -186,14 +199,14 @@ fn serve_connection(
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if handle.stop.load(Ordering::SeqCst) {
             return;
         }
         match reader.read_line(&mut line) {
             Ok(0) => return, // client closed the connection
             Ok(_) if line.ends_with('\n') => {
                 let trimmed = line.trim();
-                if !trimmed.is_empty() && !handle_line(trimmed, &writer, cache, options, stop) {
+                if !trimmed.is_empty() && !handle_line(trimmed, &writer, cache, options, handle) {
                     return;
                 }
                 line.clear();
@@ -214,7 +227,7 @@ fn handle_line(
     writer: &Mutex<TcpStream>,
     cache: &Arc<ArtifactCache>,
     options: &ServerOptions,
-    stop: &Arc<AtomicBool>,
+    handle: &ServerHandle,
 ) -> bool {
     let job = match parse_job(line) {
         Ok(job) => job,
@@ -236,7 +249,7 @@ fn handle_line(
         JobRequest::Ping => send(writer, job.id, &JobResponse::Pong),
         JobRequest::Shutdown => {
             send(writer, job.id, &JobResponse::ShuttingDown);
-            stop.store(true, Ordering::SeqCst);
+            handle.stop();
             return false;
         }
         JobRequest::Translate {

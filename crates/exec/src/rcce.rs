@@ -77,6 +77,16 @@ struct RcceSync {
     /// waiters block instead of spinning the DES).
     lock_owner: Vec<Option<usize>>,
     lock_waiters: Vec<VecDeque<usize>>,
+    /// Scheduling key per core: its clock while `Running`, `u64::MAX`
+    /// otherwise, so picking the next core is one scan of a dense array.
+    keys: Vec<u64>,
+    /// The core [`SyncModel::schedule`] picked last.
+    last: usize,
+    /// Set when a sync call or a completion may have moved any core's
+    /// state or clock (lock grants, flag wakes and rendezvous move the
+    /// partner's too); a barrier release keeps it set. While it is clear,
+    /// only the last core's clock can have moved, and no state has.
+    stale: bool,
 }
 
 impl RcceSync {
@@ -93,6 +103,9 @@ impl RcceSync {
             flag_writer: Vec::new(),
             lock_owner: vec![None; config.cores],
             lock_waiters: vec![VecDeque::new(); config.cores],
+            keys: vec![0; cores],
+            last: 0,
+            stale: true,
         }
     }
 
@@ -184,29 +197,40 @@ impl SyncModel for RcceSync {
         &mut self,
         env: &mut ExecEnv<C>,
     ) -> Result<Option<usize>, ExecError> {
-        // Pick the running core with the smallest clock.
-        let next = self
+        // Pick the running core with the smallest clock, ties to the
+        // lowest index.
+        if self.stale {
+            for (i, key) in self.keys.iter_mut().enumerate() {
+                *key = match self.states[i] {
+                    CoreState::Running => env.units[i].clock,
+                    _ => u64::MAX,
+                };
+            }
+            self.stale = false;
+        } else {
+            self.keys[self.last] = env.units[self.last].clock;
+        }
+        let mut next = 0;
+        for (i, &key) in self.keys.iter().enumerate() {
+            if key < self.keys[next] {
+                next = i;
+            }
+        }
+        if self.keys[next] < u64::MAX {
+            self.last = next;
+            return Ok(Some(next));
+        }
+        // No core is running: a live clock never reaches `u64::MAX`.
+        if self
             .states
             .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == CoreState::Running)
-            .min_by_key(|(i, _)| (env.units[*i].clock, *i))
-            .map(|(i, _)| i);
-        match next {
-            Some(core) => Ok(Some(core)),
-            None => {
-                if self
-                    .states
-                    .iter()
-                    .all(|s| matches!(s, CoreState::Done { .. }))
-                {
-                    Ok(None)
-                } else {
-                    Err(ExecError::new(
-                        "deadlock: no runnable core but not all cores finished",
-                    ))
-                }
-            }
+            .all(|s| matches!(s, CoreState::Done { .. }))
+        {
+            Ok(None)
+        } else {
+            Err(ExecError::new(
+                "deadlock: no runnable core but not all cores finished",
+            ))
         }
     }
 
@@ -226,6 +250,7 @@ impl SyncModel for RcceSync {
     ) -> Result<Flow, ExecError> {
         let core = unit;
         let cores = self.cores;
+        self.stale = true;
         let ret = match intr {
             Intrinsic::RcceInit => {
                 env.units[core].clock += syscall_cost::RCCE_INIT;
@@ -500,6 +525,7 @@ impl SyncModel for RcceSync {
         exit: i64,
     ) -> Result<Flow, ExecError> {
         self.states[unit] = CoreState::Done { exit };
+        self.stale = true;
         // The run ends when the scheduler finds every core Done.
         Ok(Flow::Continue)
     }
@@ -509,7 +535,11 @@ impl SyncModel for RcceSync {
         env: &mut ExecEnv<C>,
         sink: &mut S,
     ) -> Result<(), ExecError> {
-        // Barrier release check: all live cores waiting?
+        // Barrier release check: all live cores waiting? Only a state
+        // change can complete a barrier, and every one sets `stale`.
+        if !self.stale {
+            return Ok(());
+        }
         let total = self.states.len();
         let in_barrier = self
             .states

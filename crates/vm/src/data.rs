@@ -6,14 +6,42 @@
 
 use crate::value::{MemKind, Value};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
+/// Hashes page numbers with one multiply and a fold (Fibonacci hashing)
+/// instead of SipHash, on the per-access lookup path. Flood resistance
+/// would buy nothing: the page numbers come from simulated programs,
+/// which can already spend unbounded host time without colliding keys.
+/// Nothing iterates the page map, so the hash cannot leak into a result.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Fold the well-mixed high half into the low bits the table indexes.
+        self.0 = h ^ (h >> 32);
+    }
+}
+
 /// A sparse byte-addressable memory.
 #[derive(Debug, Clone, Default)]
 pub struct ByteMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl ByteMemory {

@@ -287,195 +287,7 @@ pub enum Instr {
     Nop,
 }
 
-/// The fieldless opcode of each [`Instr`] variant.
-///
-/// `Op` is the index space of the VM's jump-table dispatch: discriminants
-/// are dense (`0..Op::COUNT`), so `table[instr.op() as usize]` is a single
-/// bounds-free load. [`Op::ALL`] lists every opcode in discriminant order;
-/// `tests/dispatch.rs` uses it to prove the table covers the instruction
-/// set and agrees with the reference match-based dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Op {
-    /// Opcode of [`Instr::PushI`].
-    PushI = 0,
-    /// Opcode of [`Instr::PushF`].
-    PushF,
-    /// Opcode of [`Instr::LocalGet`].
-    LocalGet,
-    /// Opcode of [`Instr::LocalSet`].
-    LocalSet,
-    /// Opcode of [`Instr::LocalMemAddr`].
-    LocalMemAddr,
-    /// Opcode of [`Instr::Load`].
-    Load,
-    /// Opcode of [`Instr::Store`].
-    Store,
-    /// Opcode of [`Instr::Dup`].
-    Dup,
-    /// Opcode of [`Instr::Pop`].
-    Pop,
-    /// Opcode of [`Instr::Swap`].
-    Swap,
-    /// Opcode of [`Instr::Rot3`].
-    Rot3,
-    /// Opcode of [`Instr::Add`].
-    Add,
-    /// Opcode of [`Instr::Sub`].
-    Sub,
-    /// Opcode of [`Instr::Mul`].
-    Mul,
-    /// Opcode of [`Instr::Div`].
-    Div,
-    /// Opcode of [`Instr::Rem`].
-    Rem,
-    /// Opcode of [`Instr::Shl`].
-    Shl,
-    /// Opcode of [`Instr::Shr`].
-    Shr,
-    /// Opcode of [`Instr::BitAnd`].
-    BitAnd,
-    /// Opcode of [`Instr::BitOr`].
-    BitOr,
-    /// Opcode of [`Instr::BitXor`].
-    BitXor,
-    /// Opcode of [`Instr::Neg`].
-    Neg,
-    /// Opcode of [`Instr::Not`].
-    Not,
-    /// Opcode of [`Instr::BitNot`].
-    BitNot,
-    /// Opcode of [`Instr::CmpLt`].
-    CmpLt,
-    /// Opcode of [`Instr::CmpLe`].
-    CmpLe,
-    /// Opcode of [`Instr::CmpGt`].
-    CmpGt,
-    /// Opcode of [`Instr::CmpGe`].
-    CmpGe,
-    /// Opcode of [`Instr::CmpEq`].
-    CmpEq,
-    /// Opcode of [`Instr::CmpNe`].
-    CmpNe,
-    /// Opcode of [`Instr::I2F`].
-    I2F,
-    /// Opcode of [`Instr::F2I`].
-    F2I,
-    /// Opcode of [`Instr::Jump`].
-    Jump,
-    /// Opcode of [`Instr::JumpIfZero`].
-    JumpIfZero,
-    /// Opcode of [`Instr::JumpIfNotZero`].
-    JumpIfNotZero,
-    /// Opcode of [`Instr::Call`].
-    Call,
-    /// Opcode of [`Instr::CallIntrinsic`].
-    CallIntrinsic,
-    /// Opcode of [`Instr::Ret`].
-    Ret,
-    /// Opcode of [`Instr::RetVoid`].
-    RetVoid,
-    /// Opcode of [`Instr::Nop`].
-    Nop,
-}
-
-impl Op {
-    /// Number of opcodes (the jump table's length).
-    pub const COUNT: usize = 40;
-
-    /// Every opcode, in discriminant order (`ALL[i] as usize == i`).
-    pub const ALL: [Op; Op::COUNT] = [
-        Op::PushI,
-        Op::PushF,
-        Op::LocalGet,
-        Op::LocalSet,
-        Op::LocalMemAddr,
-        Op::Load,
-        Op::Store,
-        Op::Dup,
-        Op::Pop,
-        Op::Swap,
-        Op::Rot3,
-        Op::Add,
-        Op::Sub,
-        Op::Mul,
-        Op::Div,
-        Op::Rem,
-        Op::Shl,
-        Op::Shr,
-        Op::BitAnd,
-        Op::BitOr,
-        Op::BitXor,
-        Op::Neg,
-        Op::Not,
-        Op::BitNot,
-        Op::CmpLt,
-        Op::CmpLe,
-        Op::CmpGt,
-        Op::CmpGe,
-        Op::CmpEq,
-        Op::CmpNe,
-        Op::I2F,
-        Op::F2I,
-        Op::Jump,
-        Op::JumpIfZero,
-        Op::JumpIfNotZero,
-        Op::Call,
-        Op::CallIntrinsic,
-        Op::Ret,
-        Op::RetVoid,
-        Op::Nop,
-    ];
-}
-
 impl Instr {
-    /// The fieldless opcode of this instruction (jump-table index).
-    #[inline(always)]
-    pub fn op(self) -> Op {
-        match self {
-            Instr::PushI(_) => Op::PushI,
-            Instr::PushF(_) => Op::PushF,
-            Instr::LocalGet(_) => Op::LocalGet,
-            Instr::LocalSet(_) => Op::LocalSet,
-            Instr::LocalMemAddr(_) => Op::LocalMemAddr,
-            Instr::Load(_) => Op::Load,
-            Instr::Store(..) => Op::Store,
-            Instr::Dup => Op::Dup,
-            Instr::Pop => Op::Pop,
-            Instr::Swap => Op::Swap,
-            Instr::Rot3 => Op::Rot3,
-            Instr::Add => Op::Add,
-            Instr::Sub => Op::Sub,
-            Instr::Mul => Op::Mul,
-            Instr::Div => Op::Div,
-            Instr::Rem => Op::Rem,
-            Instr::Shl => Op::Shl,
-            Instr::Shr => Op::Shr,
-            Instr::BitAnd => Op::BitAnd,
-            Instr::BitOr => Op::BitOr,
-            Instr::BitXor => Op::BitXor,
-            Instr::Neg => Op::Neg,
-            Instr::Not => Op::Not,
-            Instr::BitNot => Op::BitNot,
-            Instr::CmpLt => Op::CmpLt,
-            Instr::CmpLe => Op::CmpLe,
-            Instr::CmpGt => Op::CmpGt,
-            Instr::CmpGe => Op::CmpGe,
-            Instr::CmpEq => Op::CmpEq,
-            Instr::CmpNe => Op::CmpNe,
-            Instr::I2F => Op::I2F,
-            Instr::F2I => Op::F2I,
-            Instr::Jump(_) => Op::Jump,
-            Instr::JumpIfZero(_) => Op::JumpIfZero,
-            Instr::JumpIfNotZero(_) => Op::JumpIfNotZero,
-            Instr::Call(..) => Op::Call,
-            Instr::CallIntrinsic(..) => Op::CallIntrinsic,
-            Instr::Ret => Op::Ret,
-            Instr::RetVoid => Op::RetVoid,
-            Instr::Nop => Op::Nop,
-        }
-    }
-
     /// Base execution cost in core cycles (P54C-flavoured CPI model).
     /// `Load`/`Store` report only issue cost; the memory system adds the
     /// hierarchy latency.
@@ -528,64 +340,5 @@ mod tests {
     fn division_is_expensive() {
         assert!(Instr::Div.base_cost() > Instr::Mul.base_cost());
         assert!(Instr::Mul.base_cost() > Instr::Add.base_cost());
-    }
-
-    #[test]
-    fn opcodes_are_dense_and_complete() {
-        assert_eq!(Op::ALL.len(), Op::COUNT);
-        for (i, op) in Op::ALL.iter().enumerate() {
-            assert_eq!(*op as usize, i, "discriminants must be dense");
-        }
-    }
-
-    #[test]
-    fn every_instr_maps_to_its_opcode() {
-        use crate::value::MemKind;
-        // One sample instruction per variant, in Op order.
-        let samples: [Instr; Op::COUNT] = [
-            Instr::PushI(1),
-            Instr::PushF(1.0),
-            Instr::LocalGet(0),
-            Instr::LocalSet(0),
-            Instr::LocalMemAddr(0),
-            Instr::Load(MemKind::I32),
-            Instr::Store(MemKind::I32, false),
-            Instr::Dup,
-            Instr::Pop,
-            Instr::Swap,
-            Instr::Rot3,
-            Instr::Add,
-            Instr::Sub,
-            Instr::Mul,
-            Instr::Div,
-            Instr::Rem,
-            Instr::Shl,
-            Instr::Shr,
-            Instr::BitAnd,
-            Instr::BitOr,
-            Instr::BitXor,
-            Instr::Neg,
-            Instr::Not,
-            Instr::BitNot,
-            Instr::CmpLt,
-            Instr::CmpLe,
-            Instr::CmpGt,
-            Instr::CmpGe,
-            Instr::CmpEq,
-            Instr::CmpNe,
-            Instr::I2F,
-            Instr::F2I,
-            Instr::Jump(0),
-            Instr::JumpIfZero(0),
-            Instr::JumpIfNotZero(0),
-            Instr::Call(0, 0),
-            Instr::CallIntrinsic(Intrinsic::Printf, 0),
-            Instr::Ret,
-            Instr::RetVoid,
-            Instr::Nop,
-        ];
-        for (i, s) in samples.iter().enumerate() {
-            assert_eq!(s.op() as usize, i, "{s:?} maps to the wrong opcode");
-        }
     }
 }

@@ -53,7 +53,7 @@ pub mod value;
 pub mod vm;
 
 pub use compile::{compile, CompileError, Program};
-pub use instr::{Instr, Intrinsic, Op};
+pub use instr::{Instr, Intrinsic};
 pub use opt::{optimize, optimize_with_stats, OptLevel, OptStats};
 pub use serial::{parse_program, serialize_program, SerialError};
 pub use value::{MemKind, Value};

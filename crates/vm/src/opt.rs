@@ -42,6 +42,7 @@ use crate::compile::Program;
 use crate::instr::Instr;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::mem::{discriminant, Discriminant};
 
 /// How aggressively [`optimize`] rewrites a program.
 ///
@@ -833,8 +834,8 @@ enum VnKey {
     ConstF(u64),
     Mem(u32),
     Reg(u16, u32),
-    Un(crate::instr::Op, u32),
-    Bin(crate::instr::Op, u32, u32),
+    Un(Discriminant<Instr>, u32),
+    Bin(Discriminant<Instr>, u32, u32),
 }
 
 /// One abstract stack entry of the CSE scan: the value number (if the
@@ -916,7 +917,8 @@ fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16) -> Patch {
             }),
             Instr::Neg | Instr::Not | Instr::BitNot | Instr::I2F | Instr::F2I => {
                 let a = stack.pop().unwrap_or_else(SymVal::opaque);
-                let vn = a.vn.map(|v| vn_of(VnKey::Un(ins.op(), v), &mut vns));
+                let vn =
+                    a.vn.map(|v| vn_of(VnKey::Un(discriminant(ins), v), &mut vns));
                 let span = a.span.filter(|&(_, e)| e + 1 == i).map(|(s, _)| (s, i));
                 Some(SymVal { vn, span })
             }
@@ -939,7 +941,9 @@ fn cse_pass(code: &[Instr], leaders: &[bool], n_regs: &mut u16) -> Patch {
                 let b = stack.pop().unwrap_or_else(SymVal::opaque);
                 let a = stack.pop().unwrap_or_else(SymVal::opaque);
                 let vn = match (a.vn, b.vn) {
-                    (Some(x), Some(y)) => Some(vn_of(VnKey::Bin(ins.op(), x, y), &mut vns)),
+                    (Some(x), Some(y)) => {
+                        Some(vn_of(VnKey::Bin(discriminant(ins), x, y), &mut vns))
+                    }
                     _ => None,
                 };
                 // Contiguous only when a's span, b's span and the op abut.

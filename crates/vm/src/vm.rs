@@ -215,39 +215,13 @@ impl Vm {
 
     /// Runs instructions until something needs the engine (memory access,
     /// syscall, or completion), accumulating plain-instruction cycles into
-    /// the returned outcome. Instructions dispatch through the jump table
-    /// indexed by [`crate::instr::Op`].
+    /// the returned outcome.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] on stack underflow or malformed bytecode —
     /// both indicate internal bugs.
     pub fn run_until_event(&mut self, program: &Program) -> Result<StepOutcome, VmError> {
-        self.run_loop(program, dispatch_table)
-    }
-
-    /// [`Vm::run_until_event`] resolved through an explicit structural
-    /// `match` on [`Instr`] instead of the jump table — the pre-table
-    /// dispatch shape, kept as the reference arm of the differential
-    /// dispatch test (`tests/dispatch.rs`). Behaviour must be identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`VmError`] on stack underflow or malformed bytecode.
-    pub fn run_until_event_matched(&mut self, program: &Program) -> Result<StepOutcome, VmError> {
-        self.run_loop(program, dispatch_matched)
-    }
-
-    /// The shared fetch/decode loop: caches the top frame's state in a
-    /// [`Hot`] so the per-instruction path never re-derives it, and defers
-    /// per-opcode semantics to `step` (table- or match-resolved; both
-    /// monomorphize, so the production build pays no indirection beyond
-    /// the table load itself).
-    #[inline(always)]
-    fn run_loop<'p, F>(&mut self, program: &'p Program, step: F) -> Result<StepOutcome, VmError>
-    where
-        F: Fn(&mut Vm, &mut Hot<'p>, &'p Program, Instr) -> Result<Ctl, VmError>,
-    {
         assert!(
             self.pending.is_none(),
             "resuming a VM with an unresolved pending operation"
@@ -262,49 +236,299 @@ impl Vm {
                 .ok_or_else(|| VmError::new("no active frame"))?;
             Hot::of(program, frame)
         };
-        loop {
+        let outcome = loop {
             let Some(&instr) = hot.code.get(hot.pc as usize) else {
                 let func = &program.funcs[self.frames.last().expect("frame").func as usize];
-                self.sync_pc(&hot);
-                return Err(VmError::new(format!(
-                    "pc {} out of bounds in `{}`",
-                    hot.pc, func.name
+                let pc = hot.pc;
+                break Err(VmError::new(format!(
+                    "pc {pc} out of bounds in `{}`",
+                    func.name
                 )));
             };
             hot.pc += 1;
             hot.cycles += instr.base_cost();
-            self.retired += 1;
-
-            match step(self, &mut hot, program, instr) {
-                Ok(Ctl::Next) => {}
-                Ok(Ctl::Event(out)) => return Ok(out),
-                Err(e) => {
-                    self.sync_pc(&hot);
-                    return Err(e);
-                }
+            hot.retired += 1;
+            match self.step(&mut hot, program, instr) {
+                Ok(None) => {}
+                Ok(Some(out)) => break Ok(out),
+                Err(e) => break Err(e),
             }
             // Safety valve: surface control periodically so the engine can
             // interleave cores even through long register-only stretches.
             if hot.cycles >= 4096 {
-                self.sync_pc(&hot);
-                return Ok(StepOutcome::Ran { cycles: hot.cycles });
+                break Ok(StepOutcome::Ran { cycles: hot.cycles });
             }
-        }
+        };
+        // Every exit (suspension, completion, fault) writes the cached
+        // state back in one place.
+        self.retired += hot.retired;
+        self.sync_pc(&hot);
+        outcome
     }
 
-    /// Writes the cached program counter back into the top frame (at
-    /// suspension points and on faults).
+    /// Writes the cached program counter back into the top frame.
     fn sync_pc(&mut self, hot: &Hot<'_>) {
         if let Some(f) = self.frames.last_mut() {
             f.pc = hot.pc;
         }
     }
+
+    /// Executes one fetched instruction: `Ok(None)` falls through to the
+    /// next one, `Ok(Some(outcome))` suspends (or finishes) the VM.
+    ///
+    /// This structural `match` is the only dispatch path. It and every
+    /// handler it calls are inlined into [`Vm::run_until_event`]'s loop, so
+    /// `hot` and the retired count stay in registers across instructions.
+    #[inline(always)]
+    fn step<'p>(
+        &mut self,
+        hot: &mut Hot<'p>,
+        program: &'p Program,
+        instr: Instr,
+    ) -> Result<Option<StepOutcome>, VmError> {
+        match instr {
+            Instr::PushI(v) => self.stack.push(Value::I(v)),
+            Instr::PushF(v) => self.stack.push(Value::F(v)),
+            Instr::LocalGet(slot) => {
+                if slot as usize >= hot.reg_len {
+                    return Err(VmError::new("register slot out of range"));
+                }
+                let v = self.regs[hot.reg_base + slot as usize];
+                self.stack.push(v);
+            }
+            Instr::LocalSet(slot) => {
+                let v = self.pop()?;
+                if slot as usize >= hot.reg_len {
+                    return Err(VmError::new("register slot out of range"));
+                }
+                self.regs[hot.reg_base + slot as usize] = v;
+            }
+            Instr::LocalMemAddr(off) => {
+                self.stack
+                    .push(Value::I((hot.mem_base + u64::from(off)) as i64));
+            }
+            Instr::Load(kind) => {
+                let addr = self.pop()?.as_addr();
+                self.pending = Some(Pending::Load {
+                    keep_float: kind.is_float(),
+                });
+                return Ok(Some(StepOutcome::Load {
+                    addr,
+                    kind,
+                    cycles: hot.cycles,
+                }));
+            }
+            Instr::Store(kind, keep) => {
+                let value = self.pop()?;
+                let addr = self.pop()?.as_addr();
+                self.pending = Some(Pending::Store {
+                    repush: keep.then_some(value),
+                });
+                return Ok(Some(StepOutcome::Store {
+                    addr,
+                    kind,
+                    value,
+                    cycles: hot.cycles,
+                }));
+            }
+            Instr::Dup => {
+                let v = *self
+                    .stack
+                    .last()
+                    .ok_or_else(|| VmError::new("dup on empty stack"))?;
+                self.stack.push(v);
+            }
+            Instr::Pop => {
+                self.pop()?;
+            }
+            Instr::Swap => {
+                let b = self.pop()?;
+                let a = self.pop()?;
+                self.stack.push(b);
+                self.stack.push(a);
+            }
+            Instr::Rot3 => {
+                let c = self.pop()?;
+                let b = self.pop()?;
+                let a = self.pop()?;
+                self.stack.push(b);
+                self.stack.push(c);
+                self.stack.push(a);
+            }
+            Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Rem => {
+                let r = self.pop()?;
+                let l = self.pop()?;
+                self.stack.push(arith(instr, l, r)?);
+            }
+            Instr::Shl | Instr::Shr | Instr::BitAnd | Instr::BitOr | Instr::BitXor => {
+                let r = self.pop()?.as_i();
+                let l = self.pop()?.as_i();
+                let v = match instr {
+                    Instr::Shl => l.wrapping_shl(r as u32),
+                    Instr::Shr => l.wrapping_shr(r as u32),
+                    Instr::BitAnd => l & r,
+                    Instr::BitOr => l | r,
+                    _ => l ^ r,
+                };
+                self.stack.push(Value::I(v));
+            }
+            Instr::Neg => {
+                let v = self.pop()?;
+                self.stack.push(match v {
+                    Value::I(i) => Value::I(i.wrapping_neg()),
+                    Value::F(f) => Value::F(-f),
+                });
+            }
+            Instr::Not => {
+                let v = self.pop()?;
+                self.stack.push(Value::I(i64::from(!v.is_truthy())));
+            }
+            Instr::BitNot => {
+                let v = self.pop()?.as_i();
+                self.stack.push(Value::I(!v));
+            }
+            Instr::CmpLt
+            | Instr::CmpLe
+            | Instr::CmpGt
+            | Instr::CmpGe
+            | Instr::CmpEq
+            | Instr::CmpNe => {
+                let r = self.pop()?;
+                let l = self.pop()?;
+                self.stack.push(compare(instr, l, r));
+            }
+            Instr::I2F => {
+                let v = self.pop()?;
+                self.stack.push(Value::F(v.as_f()));
+            }
+            Instr::F2I => {
+                let v = self.pop()?;
+                self.stack.push(Value::I(v.as_i()));
+            }
+            Instr::Jump(t) => hot.pc = t,
+            Instr::JumpIfZero(t) => {
+                if !self.pop()?.is_truthy() {
+                    hot.pc = t;
+                }
+            }
+            Instr::JumpIfNotZero(t) => {
+                if self.pop()?.is_truthy() {
+                    hot.pc = t;
+                }
+            }
+            Instr::Call(idx, nargs) => self.call(hot, program, idx, nargs)?,
+            Instr::CallIntrinsic(intr, nargs) => {
+                return self.call_intrinsic(hot, intr, nargs);
+            }
+            Instr::Ret | Instr::RetVoid => {
+                let ret = if instr == Instr::Ret {
+                    self.pop()?
+                } else {
+                    Value::I(0)
+                };
+                let frame = self.frames.pop().expect("frame");
+                self.regs.truncate(frame.reg_base);
+                self.mem_sp -= u64::from(frame.mem_size);
+                if self.frames.is_empty() {
+                    self.finished = Some(ret);
+                    return Ok(Some(StepOutcome::Finished { exit: ret }));
+                }
+                self.stack.push(ret);
+                hot.switch_frame(program, self.frames.last().expect("frame"));
+            }
+            Instr::Nop => {}
+        }
+        Ok(None)
+    }
+
+    /// `Call`: moves `nargs` stacked arguments into a fresh register window
+    /// and makes the callee the running frame.
+    #[inline(always)]
+    fn call<'p>(
+        &mut self,
+        hot: &mut Hot<'p>,
+        program: &'p Program,
+        idx: u32,
+        nargs: u8,
+    ) -> Result<(), VmError> {
+        let callee = program
+            .funcs
+            .get(idx as usize)
+            .ok_or_else(|| VmError::new("call target out of range"))?;
+        let reg_base = self.regs.len();
+        let n_regs = callee.n_regs as usize;
+        self.regs.resize(reg_base + n_regs, Value::I(0));
+        for i in (0..nargs as usize).rev() {
+            let v = match self.pop() {
+                Ok(v) => v,
+                Err(e) => {
+                    self.regs.truncate(reg_base);
+                    return Err(e);
+                }
+            };
+            if i < n_regs {
+                self.regs[reg_base + i] = v;
+            }
+        }
+        if self.mem_sp + u64::from(callee.frame_mem) > STACK_SIZE {
+            self.regs.truncate(reg_base);
+            return Err(VmError::new(format!(
+                "simulated stack overflow calling `{}`",
+                callee.name
+            )));
+        }
+        self.sync_pc(hot);
+        let frame = Frame {
+            func: idx,
+            pc: 0,
+            reg_base,
+            mem_base: self.stack_region_base + self.mem_sp,
+            mem_size: callee.frame_mem,
+        };
+        self.mem_sp += u64::from(callee.frame_mem);
+        self.frames.push(frame);
+        hot.switch_frame(program, self.frames.last().expect("frame"));
+        Ok(())
+    }
+
+    /// `CallIntrinsic`: pure math runs inline; everything else suspends
+    /// as a [`StepOutcome::Syscall`].
+    #[inline(always)]
+    fn call_intrinsic(
+        &mut self,
+        hot: &mut Hot<'_>,
+        intr: Intrinsic,
+        nargs: u8,
+    ) -> Result<Option<StepOutcome>, VmError> {
+        let mut args = Vec::with_capacity(nargs as usize);
+        for _ in 0..nargs {
+            args.push(self.pop()?);
+        }
+        args.reverse();
+        if intr.is_pure() {
+            let v = match intr {
+                Intrinsic::Sqrt => Value::F(args[0].as_f().sqrt()),
+                Intrinsic::Fabs => Value::F(args[0].as_f().abs()),
+                _ => unreachable!("only math intrinsics are pure"),
+            };
+            self.stack.push(v);
+            hot.cycles += 30; // FP unit latency for sqrt-class ops
+            return Ok(None);
+        }
+        self.pending = Some(Pending::Syscall);
+        Ok(Some(StepOutcome::Syscall {
+            intrinsic: intr,
+            args,
+            cycles: hot.cycles,
+        }))
+    }
 }
 
 /// Cached execution state of the topmost frame, held in locals across the
 /// fetch/decode loop so the per-instruction path touches no `Vec` lookups.
-/// `cycles` accumulates across frame switches within one engine slice;
-/// everything else is refreshed by [`Hot::switch_frame`] on call/return.
+/// `cycles` and `retired` accumulate across frame switches within one
+/// engine slice; everything else is refreshed by [`Hot::switch_frame`] on
+/// call/return.
 struct Hot<'p> {
     code: &'p [Instr],
     pc: u32,
@@ -312,6 +536,7 @@ struct Hot<'p> {
     reg_len: usize,
     mem_base: u64,
     cycles: u64,
+    retired: u64,
 }
 
 impl<'p> Hot<'p> {
@@ -324,11 +549,13 @@ impl<'p> Hot<'p> {
             reg_len: f.n_regs as usize,
             mem_base: frame.mem_base,
             cycles: 0,
+            retired: 0,
         }
     }
 
     /// Re-targets the cache at `frame` (after a call or return), keeping
-    /// the accumulated cycle count.
+    /// the accumulated counts.
+    #[inline(always)]
     fn switch_frame(&mut self, program: &'p Program, frame: &Frame) {
         let f = &program.funcs[frame.func as usize];
         self.code = &f.code;
@@ -337,554 +564,6 @@ impl<'p> Hot<'p> {
         self.reg_len = f.n_regs as usize;
         self.mem_base = frame.mem_base;
     }
-}
-
-/// What an opcode handler tells the fetch loop.
-enum Ctl {
-    /// Fall through to the next instruction.
-    Next,
-    /// Suspend (or finish): hand `StepOutcome` to the engine.
-    Event(StepOutcome),
-}
-
-/// One opcode's semantics. Handlers trust that `instr`'s payload matches
-/// the opcode they are registered for; [`DISPATCH`] and `Instr::op` keep
-/// that true, and `tests/dispatch.rs` proves it differentially.
-type Handler = for<'p> fn(&mut Vm, &mut Hot<'p>, &'p Program, Instr) -> Result<Ctl, VmError>;
-
-/// The jump table: direct-threaded-style dispatch, indexed by
-/// [`crate::instr::Op`] discriminant. Entries appear in `Op` order; the
-/// array length is checked against [`Op::COUNT`] at compile time, so a new
-/// opcode without a table entry fails the build.
-static DISPATCH: [Handler; crate::instr::Op::COUNT] = [
-    op_push_i,          // Op::PushI
-    op_push_f,          // Op::PushF
-    op_local_get,       // Op::LocalGet
-    op_local_set,       // Op::LocalSet
-    op_local_mem_addr,  // Op::LocalMemAddr
-    op_load,            // Op::Load
-    op_store,           // Op::Store
-    op_dup,             // Op::Dup
-    op_pop,             // Op::Pop
-    op_swap,            // Op::Swap
-    op_rot3,            // Op::Rot3
-    op_arith,           // Op::Add
-    op_arith,           // Op::Sub
-    op_arith,           // Op::Mul
-    op_arith,           // Op::Div
-    op_arith,           // Op::Rem
-    op_bitop,           // Op::Shl
-    op_bitop,           // Op::Shr
-    op_bitop,           // Op::BitAnd
-    op_bitop,           // Op::BitOr
-    op_bitop,           // Op::BitXor
-    op_neg,             // Op::Neg
-    op_not,             // Op::Not
-    op_bitnot,          // Op::BitNot
-    op_compare,         // Op::CmpLt
-    op_compare,         // Op::CmpLe
-    op_compare,         // Op::CmpGt
-    op_compare,         // Op::CmpGe
-    op_compare,         // Op::CmpEq
-    op_compare,         // Op::CmpNe
-    op_i2f,             // Op::I2F
-    op_f2i,             // Op::F2I
-    op_jump,            // Op::Jump
-    op_jump_if_zero,    // Op::JumpIfZero
-    op_jump_if_nonzero, // Op::JumpIfNotZero
-    op_call,            // Op::Call
-    op_call_intrinsic,  // Op::CallIntrinsic
-    op_ret,             // Op::Ret
-    op_ret,             // Op::RetVoid
-    op_nop,             // Op::Nop
-];
-
-/// Production dispatch: one table load, one indirect call.
-#[inline(always)]
-fn dispatch_table<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    DISPATCH[instr.op() as usize](vm, hot, program, instr)
-}
-
-/// Reference dispatch: structural match on [`Instr`] (the pre-jump-table
-/// shape). Resolves to the same handlers without going through `Instr::op`
-/// or the table, so a differential run catches a mis-mapped opcode or a
-/// mis-ordered table entry.
-fn dispatch_matched<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    match instr {
-        Instr::PushI(_) => op_push_i(vm, hot, program, instr),
-        Instr::PushF(_) => op_push_f(vm, hot, program, instr),
-        Instr::LocalGet(_) => op_local_get(vm, hot, program, instr),
-        Instr::LocalSet(_) => op_local_set(vm, hot, program, instr),
-        Instr::LocalMemAddr(_) => op_local_mem_addr(vm, hot, program, instr),
-        Instr::Load(_) => op_load(vm, hot, program, instr),
-        Instr::Store(..) => op_store(vm, hot, program, instr),
-        Instr::Dup => op_dup(vm, hot, program, instr),
-        Instr::Pop => op_pop(vm, hot, program, instr),
-        Instr::Swap => op_swap(vm, hot, program, instr),
-        Instr::Rot3 => op_rot3(vm, hot, program, instr),
-        Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Rem => {
-            op_arith(vm, hot, program, instr)
-        }
-        Instr::Shl | Instr::Shr | Instr::BitAnd | Instr::BitOr | Instr::BitXor => {
-            op_bitop(vm, hot, program, instr)
-        }
-        Instr::Neg => op_neg(vm, hot, program, instr),
-        Instr::Not => op_not(vm, hot, program, instr),
-        Instr::BitNot => op_bitnot(vm, hot, program, instr),
-        Instr::CmpLt | Instr::CmpLe | Instr::CmpGt | Instr::CmpGe | Instr::CmpEq | Instr::CmpNe => {
-            op_compare(vm, hot, program, instr)
-        }
-        Instr::I2F => op_i2f(vm, hot, program, instr),
-        Instr::F2I => op_f2i(vm, hot, program, instr),
-        Instr::Jump(_) => op_jump(vm, hot, program, instr),
-        Instr::JumpIfZero(_) => op_jump_if_zero(vm, hot, program, instr),
-        Instr::JumpIfNotZero(_) => op_jump_if_nonzero(vm, hot, program, instr),
-        Instr::Call(..) => op_call(vm, hot, program, instr),
-        Instr::CallIntrinsic(..) => op_call_intrinsic(vm, hot, program, instr),
-        Instr::Ret | Instr::RetVoid => op_ret(vm, hot, program, instr),
-        Instr::Nop => op_nop(vm, hot, program, instr),
-    }
-}
-
-fn op_push_i<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::PushI(v) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    vm.stack.push(Value::I(v));
-    Ok(Ctl::Next)
-}
-
-fn op_push_f<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::PushF(v) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    vm.stack.push(Value::F(v));
-    Ok(Ctl::Next)
-}
-
-fn op_local_get<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::LocalGet(slot) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    if slot as usize >= hot.reg_len {
-        return Err(VmError::new("register slot out of range"));
-    }
-    let v = vm.regs[hot.reg_base + slot as usize];
-    vm.stack.push(v);
-    Ok(Ctl::Next)
-}
-
-fn op_local_set<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::LocalSet(slot) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let v = vm.pop()?;
-    if slot as usize >= hot.reg_len {
-        return Err(VmError::new("register slot out of range"));
-    }
-    vm.regs[hot.reg_base + slot as usize] = v;
-    Ok(Ctl::Next)
-}
-
-fn op_local_mem_addr<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::LocalMemAddr(off) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    vm.stack
-        .push(Value::I((hot.mem_base + u64::from(off)) as i64));
-    Ok(Ctl::Next)
-}
-
-fn op_load<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Load(kind) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let addr = vm.pop()?.as_addr();
-    vm.pending = Some(Pending::Load {
-        keep_float: kind.is_float(),
-    });
-    vm.sync_pc(hot);
-    Ok(Ctl::Event(StepOutcome::Load {
-        addr,
-        kind,
-        cycles: hot.cycles,
-    }))
-}
-
-fn op_store<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Store(kind, keep) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let value = vm.pop()?;
-    let addr = vm.pop()?.as_addr();
-    vm.pending = Some(Pending::Store {
-        repush: keep.then_some(value),
-    });
-    vm.sync_pc(hot);
-    Ok(Ctl::Event(StepOutcome::Store {
-        addr,
-        kind,
-        value,
-        cycles: hot.cycles,
-    }))
-}
-
-fn op_dup<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = *vm
-        .stack
-        .last()
-        .ok_or_else(|| VmError::new("dup on empty stack"))?;
-    vm.stack.push(v);
-    Ok(Ctl::Next)
-}
-
-fn op_pop<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    vm.pop()?;
-    Ok(Ctl::Next)
-}
-
-fn op_swap<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let b = vm.pop()?;
-    let a = vm.pop()?;
-    vm.stack.push(b);
-    vm.stack.push(a);
-    Ok(Ctl::Next)
-}
-
-fn op_rot3<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let c = vm.pop()?;
-    let b = vm.pop()?;
-    let a = vm.pop()?;
-    vm.stack.push(b);
-    vm.stack.push(c);
-    vm.stack.push(a);
-    Ok(Ctl::Next)
-}
-
-fn op_arith<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let r = vm.pop()?;
-    let l = vm.pop()?;
-    vm.stack.push(arith(instr, l, r)?);
-    Ok(Ctl::Next)
-}
-
-fn op_bitop<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let r = vm.pop()?.as_i();
-    let l = vm.pop()?.as_i();
-    let v = match instr {
-        Instr::Shl => l.wrapping_shl(r as u32),
-        Instr::Shr => l.wrapping_shr(r as u32),
-        Instr::BitAnd => l & r,
-        Instr::BitOr => l | r,
-        Instr::BitXor => l ^ r,
-        _ => unreachable!("dispatch mismatch: {instr:?}"),
-    };
-    vm.stack.push(Value::I(v));
-    Ok(Ctl::Next)
-}
-
-fn op_neg<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(match v {
-        Value::I(i) => Value::I(i.wrapping_neg()),
-        Value::F(f) => Value::F(-f),
-    });
-    Ok(Ctl::Next)
-}
-
-fn op_not<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(Value::I(i64::from(!v.is_truthy())));
-    Ok(Ctl::Next)
-}
-
-fn op_bitnot<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?.as_i();
-    vm.stack.push(Value::I(!v));
-    Ok(Ctl::Next)
-}
-
-fn op_compare<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let r = vm.pop()?;
-    let l = vm.pop()?;
-    vm.stack.push(compare(instr, l, r));
-    Ok(Ctl::Next)
-}
-
-fn op_i2f<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(Value::F(v.as_f()));
-    Ok(Ctl::Next)
-}
-
-fn op_f2i<'p>(
-    vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    let v = vm.pop()?;
-    vm.stack.push(Value::I(v.as_i()));
-    Ok(Ctl::Next)
-}
-
-fn op_jump<'p>(
-    _vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Jump(t) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    hot.pc = t;
-    Ok(Ctl::Next)
-}
-
-fn op_jump_if_zero<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::JumpIfZero(t) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let v = vm.pop()?;
-    if !v.is_truthy() {
-        hot.pc = t;
-    }
-    Ok(Ctl::Next)
-}
-
-fn op_jump_if_nonzero<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::JumpIfNotZero(t) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let v = vm.pop()?;
-    if v.is_truthy() {
-        hot.pc = t;
-    }
-    Ok(Ctl::Next)
-}
-
-fn op_call<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::Call(idx, nargs) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let callee = program
-        .funcs
-        .get(idx as usize)
-        .ok_or_else(|| VmError::new("call target out of range"))?;
-    let reg_base = vm.regs.len();
-    let n_regs = callee.n_regs as usize;
-    vm.regs.resize(reg_base + n_regs, Value::I(0));
-    for i in (0..nargs as usize).rev() {
-        let v = match vm.pop() {
-            Ok(v) => v,
-            Err(e) => {
-                vm.regs.truncate(reg_base);
-                return Err(e);
-            }
-        };
-        if i < n_regs {
-            vm.regs[reg_base + i] = v;
-        }
-    }
-    if vm.mem_sp + u64::from(callee.frame_mem) > STACK_SIZE {
-        vm.regs.truncate(reg_base);
-        return Err(VmError::new(format!(
-            "simulated stack overflow calling `{}`",
-            callee.name
-        )));
-    }
-    vm.sync_pc(hot);
-    let frame = Frame {
-        func: idx,
-        pc: 0,
-        reg_base,
-        mem_base: vm.stack_region_base + vm.mem_sp,
-        mem_size: callee.frame_mem,
-    };
-    vm.mem_sp += u64::from(callee.frame_mem);
-    vm.frames.push(frame);
-    hot.switch_frame(program, vm.frames.last().expect("frame"));
-    Ok(Ctl::Next)
-}
-
-fn op_call_intrinsic<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    _p: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let Instr::CallIntrinsic(intr, nargs) = instr else {
-        unreachable!("dispatch mismatch: {instr:?}")
-    };
-    let mut args = Vec::with_capacity(nargs as usize);
-    for _ in 0..nargs {
-        args.push(vm.pop()?);
-    }
-    args.reverse();
-    if intr.is_pure() {
-        let v = match intr {
-            Intrinsic::Sqrt => Value::F(args[0].as_f().sqrt()),
-            Intrinsic::Fabs => Value::F(args[0].as_f().abs()),
-            _ => unreachable!("only math intrinsics are pure"),
-        };
-        vm.stack.push(v);
-        hot.cycles += 30; // FP unit latency for sqrt-class ops
-        return Ok(Ctl::Next);
-    }
-    vm.pending = Some(Pending::Syscall);
-    vm.sync_pc(hot);
-    Ok(Ctl::Event(StepOutcome::Syscall {
-        intrinsic: intr,
-        args,
-        cycles: hot.cycles,
-    }))
-}
-
-fn op_ret<'p>(
-    vm: &mut Vm,
-    hot: &mut Hot<'p>,
-    program: &'p Program,
-    instr: Instr,
-) -> Result<Ctl, VmError> {
-    let ret = if instr == Instr::Ret {
-        vm.pop()?
-    } else {
-        Value::I(0)
-    };
-    let frame = vm.frames.pop().expect("frame");
-    vm.regs.truncate(frame.reg_base);
-    vm.mem_sp -= u64::from(frame.mem_size);
-    if vm.frames.is_empty() {
-        vm.finished = Some(ret);
-        return Ok(Ctl::Event(StepOutcome::Finished { exit: ret }));
-    }
-    vm.stack.push(ret);
-    hot.switch_frame(program, vm.frames.last().expect("frame"));
-    Ok(Ctl::Next)
-}
-
-fn op_nop<'p>(
-    _vm: &mut Vm,
-    _hot: &mut Hot<'p>,
-    _p: &'p Program,
-    _instr: Instr,
-) -> Result<Ctl, VmError> {
-    Ok(Ctl::Next)
 }
 
 fn arith(instr: Instr, l: Value, r: Value) -> Result<Value, VmError> {
